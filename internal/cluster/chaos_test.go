@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -135,13 +136,20 @@ func hedgeResponse(t *testing.T) *proto.RunResponse {
 
 // TestHedgeCancelReleasesLoser: when the hedge completes first, the still
 // in-flight primary must be cancelled — counted by
-// parrot_cluster_hedge_cancels_total — instead of running to completion and
-// doubling fleet load under exactly the conditions that made it slow.
+// parrot_cluster_hedge_cancels_total — and its server-side handler must
+// return promptly instead of running to completion and doubling fleet load
+// under exactly the conditions that made it slow.
 func TestHedgeCancelReleasesLoser(t *testing.T) {
 	resp := hedgeResponse(t)
+	released := make(chan struct{}, 1) // the slow handler has returned
 	serve := func(delay time.Duration) *httptest.Server {
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			// net/http watches for a client hang-up only once the request
+			// body is consumed; without this read the cancelled leg's
+			// context would never end.
+			io.Copy(io.Discard, r.Body)
 			if delay > 0 {
+				defer func() { released <- struct{}{} }()
 				select {
 				case <-time.After(delay):
 				case <-r.Context().Done():
@@ -199,5 +207,10 @@ func TestHedgeCancelReleasesLoser(t *testing.T) {
 	}
 	if got := c.hedgeCancels.Value(); got != 1 {
 		t.Fatalf("hedge cancels = %v, want 1 (the slow primary was still in flight)", got)
+	}
+	select {
+	case <-released:
+	case <-time.After(time.Second):
+		t.Fatal("the losing primary's handler was still running 1s after the hedge won")
 	}
 }

@@ -48,6 +48,7 @@ type Cluster struct {
 	routeLocal   *telemetry.Counter
 	routeRemote  *telemetry.Counter
 	routeRescued *telemetry.Counter
+	routeReplica *telemetry.Counter
 	forwardsOK   *telemetry.Counter
 	forwardsErr  *telemetry.Counter
 	recoveries   *telemetry.Counter
@@ -90,6 +91,8 @@ func New(cfg Config) *Cluster {
 		"Cell routing decisions by destination.", "dest", "remote")
 	c.routeRescued = reg.Counter("parrot_cluster_route_total",
 		"Cell routing decisions by destination.", "dest", "rescued")
+	c.routeReplica = reg.Counter("parrot_cluster_route_total",
+		"Cell routing decisions by destination.", "dest", "replica")
 	c.forwardsOK = reg.Counter("parrot_cluster_forwards_total",
 		"Non-owned /v1/run requests proxied to their ring owner.", "outcome", "ok")
 	c.forwardsErr = reg.Counter("parrot_cluster_forwards_total",
@@ -146,6 +149,10 @@ func (c *Cluster) Execute(ctx context.Context, req proto.RunRequest, digest stri
 
 // NoteLocal records a cell served locally because this node owns it.
 func (c *Cluster) NoteLocal() { c.routeLocal.Inc() }
+
+// NoteReplica records a peer-owned cell answered from this node's memory
+// without the forward hop.
+func (c *Cluster) NoteReplica() { c.routeReplica.Inc() }
 
 // NoteRescued records a cell rescued locally after its remote route
 // failed — the fan-out's last line of defence (and a recovery).

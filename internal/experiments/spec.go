@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash"
 	"math"
+	"sync"
 
 	"parrot/internal/config"
 	"parrot/internal/core"
@@ -60,17 +62,9 @@ func (s RunSpec) Normalize() RunSpec {
 func (s RunSpec) Digest() string {
 	s = s.Normalize()
 	h := sha256.New()
-	wu64(h, SimVersion)
-	mb, err := json.Marshal(s.Model)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: model spec not serializable: %v", err))
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(s.prefix().state); err != nil {
+		panic(fmt.Sprintf("experiments: restoring spec hash state: %v", err))
 	}
-	pb, err := json.Marshal(s.App)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: profile spec not serializable: %v", err))
-	}
-	wbytes(h, mb)
-	wbytes(h, pb)
 	wu64(h, uint64(s.Insts))
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -80,8 +74,42 @@ func (s RunSpec) Digest() string {
 // of -n. The serving layer's graceful-degradation path uses it to locate a
 // stale-but-related cached result when the exact digest cannot be computed
 // in time.
-func (s RunSpec) FamilyKey() string {
-	s = s.Normalize()
+func (s RunSpec) FamilyKey() string { return s.prefix().family }
+
+// specPrefix is what a digest hashes before the instruction budget:
+// SimVersion and the JSON of the model and profile.
+type specPrefix struct {
+	family string // hex SHA-256 of the prefix: the FamilyKey
+	state  []byte // marshaled SHA-256 state after the prefix
+}
+
+// specPair is the part of a RunSpec that the prefix encodes.
+type specPair struct {
+	model config.Model
+	app   workload.Profile
+}
+
+// maxPrefixes bounds the prefix memo; pairs beyond it are encoded per call.
+const maxPrefixes = 4096
+
+// prefixes memoizes the prefix of each distinct (model, profile) pair, so
+// the JSON encoding — the bulk of a digest's cost — runs once per pair
+// rather than on every Digest and FamilyKey call. Map keys compare floats
+// by value, so a pair differing only in the sign of a zero parameter
+// shares the entry of whichever sign was seen first.
+var prefixes = struct {
+	sync.RWMutex
+	m map[specPair]*specPrefix
+}{m: make(map[specPair]*specPrefix)}
+
+func (s RunSpec) prefix() *specPrefix {
+	key := specPair{s.Model, s.App}
+	prefixes.RLock()
+	p := prefixes.m[key]
+	prefixes.RUnlock()
+	if p != nil {
+		return p
+	}
 	h := sha256.New()
 	wu64(h, SimVersion)
 	mb, err := json.Marshal(s.Model)
@@ -94,7 +122,17 @@ func (s RunSpec) FamilyKey() string {
 	}
 	wbytes(h, mb)
 	wbytes(h, pb)
-	return hex.EncodeToString(h.Sum(nil))
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(fmt.Sprintf("experiments: saving spec hash state: %v", err))
+	}
+	p = &specPrefix{family: hex.EncodeToString(h.Sum(nil)), state: state}
+	prefixes.Lock()
+	if len(prefixes.m) < maxPrefixes {
+		prefixes.m[key] = p
+	}
+	prefixes.Unlock()
+	return p
 }
 
 // canonical little-endian writers shared by the spec and result hashers.

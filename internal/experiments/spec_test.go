@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"testing"
 
 	"parrot/internal/config"
@@ -89,6 +92,46 @@ func TestRunSpecDigestSensitivity(t *testing.T) {
 			t.Errorf("%s change did not move the digest", name)
 		}
 	}
+}
+
+// TestRunSpecDigestMatchesEncoding: the memoized digest and family key
+// equal the canonical encoding hashed from scratch — for every model ×
+// application pair, across budgets, and for a perturbed model that shares
+// an ID with a pair already memoized.
+func TestRunSpecDigestMatchesEncoding(t *testing.T) {
+	hashOf := func(s RunSpec, withInsts bool) string {
+		h := sha256.New()
+		wu64(h, SimVersion)
+		mb, _ := json.Marshal(s.Model)
+		pb, _ := json.Marshal(s.App)
+		wbytes(h, mb)
+		wbytes(h, pb)
+		if withInsts {
+			wu64(h, uint64(s.Normalize().Insts))
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	check := func(s RunSpec) {
+		t.Helper()
+		for i := 0; i < 2; i++ { // first call fills the memo, second reads it
+			if got, want := s.Digest(), hashOf(s, true); got != want {
+				t.Fatalf("%s/%s/%d: digest %.12s, canonical %.12s", s.Model.ID, s.App.Name, s.Insts, got, want)
+			}
+			if got, want := s.FamilyKey(), hashOf(s, false); got != want {
+				t.Fatalf("%s/%s: family key %.12s, canonical %.12s", s.Model.ID, s.App.Name, got, want)
+			}
+		}
+	}
+	for _, m := range config.All() {
+		for _, p := range workload.Apps() {
+			for _, n := range []int{0, 7_000} {
+				check(RunSpec{Model: m, App: p, Insts: n})
+			}
+		}
+	}
+	tweaked := RunSpec{Model: config.Get(config.TON), App: mustProfile(t, "gzip"), Insts: 7_000}
+	tweaked.Model.OptConfig.Simd = !tweaked.Model.OptConfig.Simd
+	check(tweaked)
 }
 
 // TestResultDigestSensitivity: the per-cell result digest must react to

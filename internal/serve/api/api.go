@@ -438,19 +438,7 @@ func (s *Server) serveStale(ctx context.Context, w http.ResponseWriter, spec exp
 	if res, ok := c.GetCtx(ctx, want); ok {
 		// The exact cell landed while the scheduler bounced us: serve it
 		// fresh, no degradation needed.
-		elapsed := time.Since(start)
-		s.cellReqs(sched.DispCacheHit.String()).Inc()
-		s.cellSecs(sched.DispCacheHit.String()).Observe(elapsed.Seconds())
-		writeJSON(w, http.StatusOK, proto.RunResponse{
-			Digest:       want,
-			Cached:       true,
-			Disposition:  sched.DispCacheHit.String(),
-			RequestID:    telemetry.TraceFrom(ctx).ID(),
-			ResultDigest: experiments.ResultDigest(res),
-			ElapsedUs:    elapsed.Microseconds(),
-			Result:       res,
-			Node:         s.cfg.NodeID,
-		})
+		s.writeHit(ctx, w, want, experiments.ResultDigest(res), res, start)
 		return true
 	}
 	res, digest, ok := c.GetFamily(ctx, spec.FamilyKey())
@@ -477,6 +465,52 @@ func (s *Server) serveStale(ctx context.Context, w http.ResponseWriter, spec exp
 	return true
 }
 
+// writeHit answers /v1/run with a cell served from this node's cache.
+func (s *Server) writeHit(ctx context.Context, w http.ResponseWriter, digest, resDigest string, res *core.Result, start time.Time) {
+	disp := sched.DispCacheHit.String()
+	elapsed := time.Since(start)
+	s.cellReqs(disp).Inc()
+	s.cellSecs(disp).Observe(elapsed.Seconds())
+	writeJSON(w, http.StatusOK, proto.RunResponse{
+		Digest:       digest,
+		Cached:       true,
+		Disposition:  disp,
+		RequestID:    telemetry.TraceFrom(ctx).ID(),
+		ResultDigest: resDigest,
+		ElapsedUs:    elapsed.Microseconds(),
+		Result:       res,
+		Node:         s.cfg.NodeID,
+	})
+}
+
+// serveReplica answers a request for a peer-owned cell from this node's
+// memory, skipping the forward hop. Reports whether it wrote a response.
+func (s *Server) serveReplica(ctx context.Context, w http.ResponseWriter, digest string) bool {
+	if s.cfg.Cache == nil {
+		return false
+	}
+	start := time.Now()
+	res, resDigest, ok := s.cfg.Cache.GetMem(ctx, digest)
+	if !ok {
+		return false
+	}
+	s.cfg.Cluster.NoteReplica()
+	s.writeHit(ctx, w, digest, resDigest, res, start)
+	return true
+}
+
+// keepReplica stores a forwarded answer as a replica when it is exactly
+// the requested cell: not a stale family fallback, stored under the
+// requested digest, and carrying a ResultDigest that the routing client
+// (serve/client.Run) verified against the result on receipt.
+func (s *Server) keepReplica(digest string, resp *proto.RunResponse) {
+	if s.cfg.Cache == nil || resp.Degraded || resp.Digest != digest ||
+		resp.ResultDigest == "" || resp.Result == nil {
+		return
+	}
+	s.cfg.Cache.PutReplica(digest, resp.ResultDigest, resp.Result)
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req proto.RunRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -498,14 +532,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Cluster routing. The hop guard wins over ownership: a request a peer
 	// already forwarded is served here no matter what the local ring says,
 	// so transient membership disagreement cannot produce a forwarding
-	// loop. Otherwise, a digest owned elsewhere is proxied to its owner;
-	// if every remote route fails, this node rescues it locally.
+	// loop. Otherwise, a digest owned elsewhere is first looked up in this
+	// node's memory, where an earlier forward may have left a replica; on
+	// a miss it is proxied to its owner and the answer kept as a replica.
+	// If every remote route fails, this node rescues it locally.
+	digest := spec.Digest()
 	rescued := false
 	if cl := s.cfg.Cluster; cl != nil {
-		digest := spec.Digest()
 		if from := r.Header.Get(cluster.ForwardedHeader); from != "" {
 			cl.NoteHopStop()
 		} else if owner, self := cl.Owner(digest); !self {
+			if s.serveReplica(ctx, w, digest) {
+				return
+			}
 			tr := telemetry.TraceFrom(ctx)
 			sp := tr.StartSpanTID(telemetry.TIDCluster, "cluster.forward",
 				telemetry.A("owner", owner))
@@ -514,6 +553,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				sp.SetAttr("node", resp.Node)
 				sp.End()
 				cl.NoteForward(true)
+				s.keepReplica(digest, resp)
 				// Re-stamp the coordinator's correlation ID; the owner's own
 				// trace is reachable on the owning node.
 				resp.RequestID = tr.ID()
@@ -528,6 +568,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				rescued = true
 				tlog.From(ctx).Warn("forward failed, rescuing locally",
 					tlog.F("digest", digest[:12]), tlog.F("err", ferr.Error()))
+			}
+			if s.cfg.Cache != nil {
+				// The replica lookup above was this request's cache probe.
+				ctx = sched.WithCacheProbed(ctx)
 			}
 		} else {
 			cl.NoteLocal()
@@ -555,7 +599,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.cellReqs(disp.String()).Inc()
 	s.cellSecs(disp.String()).Observe(elapsed.Seconds())
 	writeJSON(w, http.StatusOK, proto.RunResponse{
-		Digest:       spec.Digest(),
+		Digest:       digest,
 		Cached:       disp.Cached(),
 		Disposition:  disp.String(),
 		RequestID:    telemetry.TraceFrom(ctx).ID(),

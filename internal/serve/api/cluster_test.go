@@ -24,6 +24,7 @@ import (
 type clusterNode struct {
 	url string
 	hs  *httptest.Server
+	ca  *cache.Cache
 	sc  *sched.Sched
 	cl  *cluster.Cluster
 	c   *client.Client
@@ -74,7 +75,7 @@ func testCluster(t *testing.T, n int) []*clusterNode {
 		srv := New(Config{Cache: ca, Sched: sc, Registry: reg, Cluster: cl})
 		hs := &httptest.Server{Listener: lns[i], Config: &http.Server{Handler: srv.Handler()}}
 		hs.Start()
-		nodes[i] = &clusterNode{url: urls[i], hs: hs, sc: sc, cl: cl, c: client.New(urls[i])}
+		nodes[i] = &clusterNode{url: urls[i], hs: hs, ca: ca, sc: sc, cl: cl, c: client.New(urls[i])}
 	}
 	t.Cleanup(func() {
 		for _, nd := range nodes {

@@ -12,12 +12,20 @@
 // result digest (experiments.ResultDigest); disk loads are verified against
 // it, so corrupt or truncated entries are detected, expunged and recomputed
 // — never served.
+//
+// Memory entries hold the decoded core.Result, so a memory hit is a struct
+// copy, not a JSON decode. They come in two classes. Owned entries are the
+// cells this node computed or loaded from its own disk. Replicas are
+// answers a cluster coordinator received from a peer that owns the cell:
+// they live in memory only, never reach the disk or the family index, and
+// are always evicted before any owned entry.
 package cache
 
 import (
 	"context"
 	"encoding/json"
 	"sync"
+	"unsafe"
 
 	"parrot/internal/chaos"
 	"parrot/internal/core"
@@ -38,11 +46,13 @@ type Stats struct {
 	DiskPuts   uint64
 	DiskErrors uint64 // unreadable/corrupt/mismatched disk entries expunged
 
-	Entries int   // resident in-memory entries
-	Bytes   int64 // resident in-memory payload bytes
-	Budget  int64 // in-memory byte budget
+	Entries  int   // resident in-memory entries (owned + replicas)
+	Replicas int   // resident replica entries
+	Bytes    int64 // resident in-memory payload bytes
+	Budget   int64 // in-memory byte budget
 
-	// EntryBytesMean is the mean encoded entry size over all insertions.
+	// EntryBytesMean is the mean encoded entry size over all owned
+	// insertions.
 	EntryBytesMean float64
 }
 
@@ -56,8 +66,9 @@ func (s Stats) HitRate() float64 {
 
 // Config parameterizes a cache.
 type Config struct {
-	// MemBudget bounds resident payload bytes (<=0 = 64 MiB). The budget
-	// applies to encoded payloads; map/list overhead is not charged.
+	// MemBudget bounds resident payload bytes (<=0 = 64 MiB). An owned
+	// entry is charged its encoded payload size, a replica the mean encoded
+	// size of the owned insertions so far; map/list overhead is not charged.
 	MemBudget int64
 	// Dir enables the on-disk store when non-empty. The directory is
 	// created if missing. Disk entries are not budgeted (cells are a few
@@ -69,26 +80,69 @@ type Config struct {
 	Chaos *chaos.Injector
 }
 
-// entry is one resident cell: the encoded payload (canonical JSON of the
-// core.Result) plus its integrity digest, on an intrusive LRU list.
+// entry is one resident cell: the decoded result plus its integrity
+// digest, on the intrusive LRU list of its class.
 type entry struct {
 	key        string
-	payload    []byte
+	res        core.Result
 	resDigest  string
+	size       int64 // bytes charged against the budget
+	replica    bool
 	next, prev *entry // LRU list: head = most recent
+}
+
+// lru is one intrusive recency list.
+type lru struct {
+	head *entry // most recently used
+	tail *entry // least recently used
+}
+
+func (l *lru) pushFront(e *entry) {
+	e.prev = nil
+	e.next = l.head
+	if l.head != nil {
+		l.head.prev = e
+	}
+	l.head = e
+	if l.tail == nil {
+		l.tail = e
+	}
+}
+
+func (l *lru) unlink(e *entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+func (l *lru) moveToFront(e *entry) {
+	if l.head == e {
+		return
+	}
+	l.unlink(e)
+	l.pushFront(e)
 }
 
 // Cache is a content-addressed result store. All methods are safe for
 // concurrent use.
 type Cache struct {
-	mu      sync.Mutex
-	budget  int64
-	bytes   int64
-	entries map[string]*entry
-	head    *entry // most recently used
-	tail    *entry // least recently used
-	dir     string
-	chaos   *chaos.Injector
+	mu       sync.Mutex
+	budget   int64
+	bytes    int64
+	entries  map[string]*entry
+	owned    lru
+	replicas lru
+	nReplica int
+	dir      string
+	chaos    *chaos.Injector
 
 	// families maps a spec family key (model+app, insts masked — see
 	// experiments.RunSpec.FamilyKey) to the digest of the family's most
@@ -96,8 +150,8 @@ type Cache struct {
 	// the bytes, and a family whose member was evicted simply misses.
 	families map[string]string
 
-	// occupancy histograms encoded entry sizes over all insertions — the
-	// byte-budget sizing signal surfaced on /metricsz.
+	// occupancy histograms encoded entry sizes over all owned insertions —
+	// the byte-budget sizing signal surfaced on /metricsz.
 	occupancy *metrics.Histogram
 
 	stats Stats
@@ -146,9 +200,10 @@ func decode(payload []byte) (*core.Result, error) {
 // consulted first; on miss, the disk store (when enabled) is probed,
 // verified against the stored result digest and promoted into memory.
 // Corrupt disk entries count as misses (and are expunged) — the caller
-// recomputes and Puts the fresh result.
+// recomputes and Puts the fresh result. The returned result is the
+// caller's own copy.
 func (c *Cache) Get(digest string) (*core.Result, bool) {
-	res, _, ok := c.get(digest)
+	res, _, _, ok := c.get(digest, c.dir != "")
 	return res, ok
 }
 
@@ -157,65 +212,65 @@ func (c *Cache) Get(digest string) (*core.Result, bool) {
 // names the serving level ("mem", "disk", "miss"), and disk promotions are
 // logged through the context's structured logger.
 func (c *Cache) GetCtx(ctx context.Context, digest string) (*core.Result, bool) {
+	res, _, ok := c.getCtx(ctx, digest, c.dir != "")
+	return res, ok
+}
+
+// GetMem is GetCtx restricted to memory, owned entries and replicas
+// alike, and it also returns the stored result digest, so a hit is served
+// without re-hashing the result. A cluster coordinator probes it before
+// forwarding a request for a peer-owned cell.
+func (c *Cache) GetMem(ctx context.Context, digest string) (*core.Result, string, bool) {
+	return c.getCtx(ctx, digest, false)
+}
+
+func (c *Cache) getCtx(ctx context.Context, digest string, disk bool) (*core.Result, string, bool) {
 	sp := telemetry.TraceFrom(ctx).StartSpan("cache.get",
 		telemetry.A("digest", shortKey(digest)))
-	res, source, ok := c.get(digest)
+	res, resDigest, source, ok := c.get(digest, disk)
 	sp.SetAttr("outcome", source)
 	sp.End()
 	if source == "disk" {
 		tlog.From(ctx).Debug("cache disk promote", tlog.F("digest", shortKey(digest)))
 	}
-	return res, ok
+	return res, resDigest, ok
 }
 
 // get is the shared lookup; source reports the serving level ("mem",
-// "disk", "miss").
-func (c *Cache) get(digest string) (*core.Result, string, bool) {
+// "disk", "miss"). The disk is probed only when disk is set.
+func (c *Cache) get(digest string, disk bool) (*core.Result, string, string, bool) {
 	c.mu.Lock()
 	if e, ok := c.entries[digest]; ok {
-		c.moveToFront(e)
-		payload := e.payload
+		c.listOf(e).moveToFront(e)
+		res, resDigest := e.res, e.resDigest
 		c.stats.Hits++
 		c.stats.MemHits++
 		c.mu.Unlock()
-		res, err := decode(payload)
-		if err != nil {
-			// Unreachable in practice (payload was produced by encode); treat
-			// as a miss and drop the entry defensively.
-			c.mu.Lock()
-			if e2, ok := c.entries[digest]; ok {
-				c.removeLocked(e2)
-			}
-			c.stats.Hits--
-			c.stats.MemHits--
-			c.stats.Misses++
-			c.mu.Unlock()
-			return nil, "miss", false
-		}
-		return res, "mem", true
+		return &res, resDigest, "mem", true
 	}
 	c.mu.Unlock()
 
-	if c.dir != "" {
+	if disk {
 		if res, payload, resDigest, ok := c.diskGet(digest); ok {
 			c.mu.Lock()
 			c.stats.Hits++
 			c.stats.DiskHits++
-			c.insertLocked(digest, payload, resDigest)
+			c.insertLocked(&entry{key: digest, res: *res, resDigest: resDigest, size: int64(len(payload))})
 			c.mu.Unlock()
-			return res, "disk", true
+			return res, resDigest, "disk", true
 		}
 	}
 
 	c.mu.Lock()
 	c.stats.Misses++
 	c.mu.Unlock()
-	return nil, "miss", false
+	return nil, "", "miss", false
 }
 
 // Put stores a cell under its digest, in memory and (when enabled) on
-// disk. Storing an already-resident digest refreshes recency only: content
-// under a digest is immutable.
+// disk. Storing an already-resident owned digest refreshes recency only:
+// content under a digest is immutable. A resident replica is promoted to
+// an owned entry and written to disk.
 func (c *Cache) Put(digest string, res *core.Result) error {
 	payload, err := encode(res)
 	if err != nil {
@@ -225,12 +280,12 @@ func (c *Cache) Put(digest string, res *core.Result) error {
 
 	c.mu.Lock()
 	c.stats.Puts++
-	if e, ok := c.entries[digest]; ok {
-		c.moveToFront(e)
+	if e, ok := c.entries[digest]; ok && !e.replica {
+		c.owned.moveToFront(e)
 		c.mu.Unlock()
 		return nil
 	}
-	c.insertLocked(digest, payload, resDigest)
+	c.insertLocked(&entry{key: digest, res: *res, resDigest: resDigest, size: int64(len(payload))})
 	c.mu.Unlock()
 
 	if c.dir != "" {
@@ -245,6 +300,23 @@ func (c *Cache) Put(digest string, res *core.Result) error {
 		c.mu.Unlock()
 	}
 	return nil
+}
+
+// PutReplica stores a peer-owned cell in memory only: no disk write, no
+// family-index entry, and first in line for eviction. resDigest must be
+// the result's verified ResultDigest; it is stored as given, so the insert
+// neither encodes nor hashes. A digest already resident is left as it is.
+func (c *Cache) PutReplica(digest, resDigest string, res *core.Result) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[digest]; ok {
+		return
+	}
+	size := int64(c.occupancy.Mean())
+	if size <= 0 {
+		size = int64(unsafe.Sizeof(*res))
+	}
+	c.insertLocked(&entry{key: digest, res: *res, resDigest: resDigest, size: size, replica: true})
 }
 
 // PutTagged is Put plus a family-index update: the digest becomes the
@@ -275,67 +347,57 @@ func (c *Cache) GetFamily(ctx context.Context, family string) (*core.Result, str
 	return res, digest, true
 }
 
-// insertLocked adds a payload under the digest and evicts LRU entries until
-// the byte budget holds. Caller holds c.mu.
-func (c *Cache) insertLocked(digest string, payload []byte, resDigest string) {
-	if e, ok := c.entries[digest]; ok {
-		c.moveToFront(e)
-		return
+func (c *Cache) listOf(e *entry) *lru {
+	if e.replica {
+		return &c.replicas
 	}
-	e := &entry{key: digest, payload: payload, resDigest: resDigest}
-	c.entries[digest] = e
-	c.bytes += int64(len(payload))
-	c.occupancy.Add(len(payload))
-	c.pushFront(e)
-	for c.bytes > c.budget && c.tail != nil && c.tail != e {
+	return &c.owned
+}
+
+// insertLocked makes e resident and evicts until the byte budget holds:
+// least recent replicas first, then least recent owned entries. An owned
+// entry replaces a resident replica of the same digest; otherwise a
+// resident digest only refreshes recency. A lone owned entry larger than
+// the budget stays resident. Caller holds c.mu.
+func (c *Cache) insertLocked(e *entry) {
+	if old, ok := c.entries[e.key]; ok {
+		if !old.replica || e.replica {
+			c.listOf(old).moveToFront(old)
+			return
+		}
+		c.removeLocked(old)
+	}
+	c.entries[e.key] = e
+	c.bytes += e.size
+	if e.replica {
+		c.nReplica++
+	} else {
+		c.occupancy.Add(int(e.size))
+	}
+	c.listOf(e).pushFront(e)
+	for c.bytes > c.budget {
+		victim := c.replicas.tail
+		if victim == nil {
+			victim = c.owned.tail
+			if victim == nil || victim == e {
+				return
+			}
+		}
 		c.stats.Evictions++
-		c.removeLocked(c.tail)
+		c.removeLocked(victim)
+		if victim == e {
+			return
+		}
 	}
-}
-
-func (c *Cache) pushFront(e *entry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache) moveToFront(e *entry) {
-	if c.head == e {
-		return
-	}
-	// Unlink.
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if c.tail == e {
-		c.tail = e.prev
-	}
-	c.pushFront(e)
 }
 
 func (c *Cache) removeLocked(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.head == e {
-		c.head = e.next
+	c.listOf(e).unlink(e)
+	if e.replica {
+		c.nReplica--
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.tail == e {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 	delete(c.entries, e.key)
-	c.bytes -= int64(len(e.payload))
+	c.bytes -= e.size
 }
 
 // Len returns the number of resident in-memory entries.
@@ -358,6 +420,7 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Entries = len(c.entries)
+	s.Replicas = c.nReplica
 	s.Bytes = c.bytes
 	s.Budget = c.budget
 	s.EntryBytesMean = c.occupancy.Mean()
@@ -381,10 +444,11 @@ func (c *Cache) Register(reg *telemetry.Registry) {
 		emit("parrot_cache_lookups_total", "counter", "Cache lookups by serving level.",
 			float64(st.Misses), "level", "miss")
 		emit("parrot_cache_puts_total", "counter", "Results stored.", float64(st.Puts))
-		emit("parrot_cache_evictions_total", "counter", "In-memory LRU evictions.", float64(st.Evictions))
+		emit("parrot_cache_evictions_total", "counter", "In-memory LRU evictions (replicas first).", float64(st.Evictions))
 		emit("parrot_cache_disk_puts_total", "counter", "Results persisted to disk.", float64(st.DiskPuts))
 		emit("parrot_cache_disk_errors_total", "counter", "Corrupt/unwritable disk entries.", float64(st.DiskErrors))
 		emit("parrot_cache_entries", "gauge", "Resident in-memory entries.", float64(st.Entries))
+		emit("parrot_cache_replicas", "gauge", "Resident memory-only replicas of peer-owned cells.", float64(st.Replicas))
 		emit("parrot_cache_bytes", "gauge", "Resident in-memory payload bytes.", float64(st.Bytes))
 		emit("parrot_cache_budget_bytes", "gauge", "In-memory byte budget.", float64(st.Budget))
 		emit("parrot_cache_hit_rate", "gauge", "Hits per lookup.", st.HitRate())

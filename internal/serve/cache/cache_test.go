@@ -1,9 +1,14 @@
 package cache
 
 import (
+	"context"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"parrot/internal/config"
@@ -14,7 +19,7 @@ import (
 
 // testResult simulates one small cell (memoized per test binary via the
 // machine pool and program cache).
-func testResult(t *testing.T, modelID config.ModelID, app string, insts int) *core.Result {
+func testResult(t testing.TB, modelID config.ModelID, app string, insts int) *core.Result {
 	t.Helper()
 	p, ok := workload.ByName(app)
 	if !ok {
@@ -23,7 +28,7 @@ func testResult(t *testing.T, modelID config.ModelID, app string, insts int) *co
 	return core.RunWarm(config.Get(modelID), p, insts)
 }
 
-func testSpec(t *testing.T, modelID config.ModelID, app string, insts int) experiments.RunSpec {
+func testSpec(t testing.TB, modelID config.ModelID, app string, insts int) experiments.RunSpec {
 	t.Helper()
 	p, ok := workload.ByName(app)
 	if !ok {
@@ -307,3 +312,215 @@ func writeFile(t *testing.T, path string, b []byte) {
 }
 
 func clone(b []byte) []byte { return append([]byte(nil), b...) }
+
+// TestReplicaStaysInMemory: a replica is served from memory but never
+// written to disk or entered in the family index, so neither a fresh
+// instance over the same directory nor a family lookup can find it. A Put
+// of the same digest promotes it to an owned, persisted entry.
+func TestReplicaStaysInMemory(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(Config{MemBudget: 1 << 20, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := testResult(t, config.TON, "gzip", 5000)
+	spec := testSpec(t, config.TON, "gzip", 5000)
+	digest := spec.Digest()
+	resDigest := experiments.ResultDigest(res)
+
+	c.PutReplica(digest, resDigest, res)
+	got, gotDigest, ok := c.GetMem(context.Background(), digest)
+	if !ok || gotDigest != resDigest || !reflect.DeepEqual(got, res) {
+		t.Fatalf("replica lookup: ok=%v digest=%.12s, want the stored cell %.12s", ok, gotDigest, resDigest)
+	}
+	if st := c.Stats(); st.Replicas != 1 || st.Puts != 0 || st.DiskPuts != 0 {
+		t.Fatalf("stats = %+v, want 1 replica and no puts", st)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("replica reached disk: %d files", len(ents))
+	}
+	if _, _, ok := c.GetFamily(context.Background(), spec.FamilyKey()); ok {
+		t.Fatal("replica entered the family index")
+	}
+	fresh, err := New(Config{MemBudget: 1 << 20, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fresh.Get(digest); ok {
+		t.Fatal("a fresh instance found the replica")
+	}
+
+	if err := c.PutTagged(digest, spec.FamilyKey(), res); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Replicas != 0 || st.Entries != 1 || st.DiskPuts != 1 {
+		t.Fatalf("after Put: stats = %+v, want one owned entry on disk", st)
+	}
+	if _, fam, ok := c.GetFamily(context.Background(), spec.FamilyKey()); !ok || fam != digest {
+		t.Fatal("promoted entry missing from the family index")
+	}
+}
+
+// TestReplicasEvictedBeforeOwned: under budget pressure every replica goes
+// before any owned entry, however recently the replica was used — and a
+// replica that does not fit beside the owned entries evicts itself.
+func TestReplicasEvictedBeforeOwned(t *testing.T) {
+	res := testResult(t, config.N, "gzip", 5000)
+	resDigest := experiments.ResultDigest(res)
+	payload, err := encode(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{MemBudget: int64(3 * len(payload))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut := func(k string) {
+		t.Helper()
+		if err := c.Put(k, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resident := func(keys ...string) {
+		t.Helper()
+		for _, k := range keys {
+			c.mu.Lock()
+			_, ok := c.entries[k]
+			c.mu.Unlock()
+			if !ok {
+				t.Fatalf("%s evicted", k)
+			}
+		}
+	}
+
+	mustPut("own-a")
+	mustPut("own-b")
+	c.PutReplica("rep-1", resDigest, res)
+	if _, ok := c.Get("rep-1"); !ok { // the replica is now the most recent entry
+		t.Fatal("replica missing")
+	}
+	mustPut("own-c")
+	resident("own-a", "own-b", "own-c")
+	if _, ok := c.Get("rep-1"); ok {
+		t.Fatal("an owned insert evicted an owned entry while a replica was resident")
+	}
+
+	// The cache is full of owned entries: a new replica cannot displace
+	// any of them.
+	c.PutReplica("rep-2", resDigest, res)
+	resident("own-a", "own-b", "own-c")
+	if st := c.Stats(); st.Replicas != 0 || st.Evictions != 2 {
+		t.Fatalf("stats = %+v, want no replicas and 2 evictions", st)
+	}
+
+	// A replica that fits beside the owned entries stays; further replicas
+	// displace the least recent replica, never an owned entry.
+	c.mu.Lock()
+	c.budget = int64(5 * len(payload))
+	c.mu.Unlock()
+	for i := 0; i < 8; i++ {
+		k := fmt.Sprintf("rep-x%d", i)
+		c.PutReplica(k, resDigest, res)
+		resident("own-a", "own-b", "own-c", k)
+		if st := c.Stats(); st.Replicas != min(i+1, 2) {
+			t.Fatalf("after %s: %d replicas resident, want %d", k, st.Replicas, min(i+1, 2))
+		}
+	}
+	resident("rep-x6", "rep-x7")
+	if c.Bytes() > c.Stats().Budget {
+		t.Fatalf("resident bytes %d exceed budget %d", c.Bytes(), c.Stats().Budget)
+	}
+}
+
+// TestGetHandsOutCopies: memory entries are decoded values, and every Get
+// returns the caller's own copy — mutating it, or the result handed to
+// Put, changes nothing the cache serves later.
+func TestGetHandsOutCopies(t *testing.T) {
+	c, err := New(Config{MemBudget: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := testResult(t, config.TON, "swim", 5000)
+	want := *res
+	put := *res
+	if err := c.Put("own", &put); err != nil {
+		t.Fatal(err)
+	}
+	rep := *res
+	c.PutReplica("rep", experiments.ResultDigest(res), &rep)
+	put.Cycles, rep.Cycles = 0, 0
+
+	for _, k := range []string{"own", "rep"} {
+		got, ok := c.Get(k)
+		if !ok {
+			t.Fatalf("%s missing", k)
+		}
+		got.Cycles++
+		got.Breakdown[0] = -1
+		got.Counts[0] = 7
+		again, _ := c.Get(k)
+		if !reflect.DeepEqual(*again, want) {
+			t.Fatalf("%s: a mutated Get result leaked into the cache", k)
+		}
+	}
+}
+
+// TestDiskPromotionKeepsStoredDigest: an entry promoted from disk is held
+// decoded, and a memory hit on it reports the result digest stored on
+// disk, which matches the decoded result.
+func TestDiskPromotionKeepsStoredDigest(t *testing.T) {
+	dir := t.TempDir()
+	res := testResult(t, config.TOW, "gcc", 5000)
+	digest := testSpec(t, config.TOW, "gcc", 5000).Digest()
+	c1, err := New(Config{MemBudget: 1 << 20, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Put(digest, res); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, digest+".prc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stored, _, err := DecodeEntry(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := New(Config{MemBudget: 1 << 20, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c2.Get(digest); !ok {
+		t.Fatal("disk entry not promoted")
+	}
+	got, gotDigest, ok := c2.GetMem(context.Background(), digest)
+	if !ok {
+		t.Fatal("promoted entry not in memory")
+	}
+	if gotDigest != stored || experiments.ResultDigest(got) != stored {
+		t.Fatalf("promoted digest %.12s, decoded %.12s, stored %.12s",
+			gotDigest, experiments.ResultDigest(got), stored)
+	}
+	if st := c2.Stats(); st.DiskHits != 1 || st.MemHits != 1 || st.Replicas != 0 {
+		t.Fatalf("stats = %+v, want 1 disk hit then 1 memory hit on an owned entry", st)
+	}
+}
+
+// TestDecodeEntryChecksLengthBeforeAllocating: a payload length larger
+// than the entry is rejected without allocating a buffer of that size.
+func TestDecodeEntryChecksLengthBeforeAllocating(t *testing.T) {
+	raw := EncodeEntry(strings.Repeat("a", 64), strings.Repeat("b", 64), nil)
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], 0xFFFFFFFF)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := DecodeEntry(raw)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 4 GiB payload length in a short entry decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the entry allocated %d bytes", grew)
+	}
+}

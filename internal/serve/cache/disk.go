@@ -105,10 +105,13 @@ func DecodeEntry(raw []byte) (specDigest, resDigest string, payload []byte, err 
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return "", "", nil, fmt.Errorf("cache: truncated payload length: %w", err)
 	}
-	payload = make([]byte, n)
-	if got, _ := io.ReadFull(r, payload); got != int(n) {
-		return "", "", nil, fmt.Errorf("cache: truncated payload: %d of %d bytes", got, n)
+	// Check the claimed length against what is there before allocating: a
+	// corrupt length must not cost a 4 GiB buffer.
+	if int64(n) > int64(r.Len()) {
+		return "", "", nil, fmt.Errorf("cache: truncated payload: %d of %d bytes", r.Len(), n)
 	}
+	payload = make([]byte, n)
+	io.ReadFull(r, payload)
 	return specDigest, resDigest, payload, nil
 }
 

@@ -372,6 +372,18 @@ func (s *Sched) Submit(ctx context.Context, spec experiments.RunSpec) (*core.Res
 	return s.submit(ctx, spec, Interactive)
 }
 
+// cacheProbedKey marks a context whose request has already probed the
+// result cache (see WithCacheProbed).
+type cacheProbedKey struct{}
+
+// WithCacheProbed marks ctx as belonging to a request that has just probed
+// the result cache's memory itself and missed. Submit then skips its cache
+// fast path, so the request records one cache.get span, not two. A cell
+// resident only on disk is then recomputed rather than promoted.
+func WithCacheProbed(ctx context.Context) context.Context {
+	return context.WithValue(ctx, cacheProbedKey{}, true)
+}
+
 // SubmitBatch is Submit on the batch (lower-priority, model-affine) queue.
 func (s *Sched) SubmitBatch(ctx context.Context, spec experiments.RunSpec) (*core.Result, Disposition, error) {
 	return s.submit(ctx, spec, Batch)
@@ -396,7 +408,7 @@ func (s *Sched) submit(ctx context.Context, spec experiments.RunSpec, pri Priori
 
 	// Cache fast path (outside the scheduler lock: may touch disk). The
 	// stats outcome lands in one critical section either way.
-	if c := s.cfg.Cache; c != nil {
+	if c := s.cfg.Cache; c != nil && ctx.Value(cacheProbedKey{}) == nil {
 		if r, ok := c.GetCtx(ctx, digest); ok {
 			s.mu.Lock()
 			s.stats.Submitted++

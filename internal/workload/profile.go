@@ -17,7 +17,10 @@
 // program and the same dynamic stream.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Suite classifies applications into the paper's five benchmark groups.
 type Suite uint8
@@ -327,14 +330,20 @@ func Apps() []Profile {
 	return out
 }
 
+// byName indexes the roster by application name. It is built on first use;
+// profiles are values, so every lookup hands out its own copy.
+var byName = sync.OnceValue(func() map[string]Profile {
+	idx := make(map[string]Profile)
+	for _, p := range Apps() {
+		idx[p.Name] = p
+	}
+	return idx
+})
+
 // ByName looks up an application profile by name.
 func ByName(name string) (Profile, bool) {
-	for _, p := range Apps() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Profile{}, false
+	p, ok := byName()[name]
+	return p, ok
 }
 
 // KillerApps returns the three applications the paper singles out for the

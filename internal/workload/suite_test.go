@@ -145,3 +145,22 @@ func TestSeedsIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestByNameIndex: every roster profile is found under its name, equal to
+// the roster's own copy, and a caller mutating its copy cannot change what
+// later lookups return.
+func TestByNameIndex(t *testing.T) {
+	for _, want := range Apps() {
+		got, ok := ByName(want.Name)
+		if !ok || got != want {
+			t.Fatalf("ByName(%q) = %+v, %v; want the roster profile", want.Name, got, ok)
+		}
+		got.HotFraction = -1
+		if again, _ := ByName(want.Name); again != want {
+			t.Fatalf("mutating a looked-up %q profile changed the index", want.Name)
+		}
+	}
+	if _, ok := ByName("no-such-app"); ok {
+		t.Fatal("unknown name found")
+	}
+}

@@ -20,7 +20,11 @@
 #      (parrotctl matrix -verify-owners rebuilds the ring client-side);
 #   5. forwarding + hop guard: direct /v1/run requests for non-owned digests
 #      are proxied to their owner exactly once (forwards ok on the entry
-#      node, hop-guard stops on the owner).
+#      node, hop-guard stops on the owner);
+#   6. read-through replicas: repeating those requests through the same
+#      entry node answers the peer-owned cells from its memory
+#      (parrot_cluster_route_total{dest="replica"} >= 1) without a single
+#      further forward.
 #
 # Ports come from scripts/freeports.go (not -addr :0) because every node
 # needs the complete -peers list before any of them binds.
@@ -173,16 +177,33 @@ warm_args=(-n "$N" -min-cached 0.95 -verify-owners)
 [[ -n "$golden" ]] && warm_args+=(-expect-digest "$golden")
 ctl matrix -server "${urls[1]}" "${warm_args[@]}"
 
+# metric prints one series of a node's /metricsz scrape.
+metric() {
+  ctl top -server "$1" -raw | awk -v k="$2" '$1 == k { print $2 }'
+}
+
+direct_runs() {
+  for m in N TN TON W TW TOW TOS; do
+    for a in gzip swim; do
+      ctl run -server "${urls[0]}" -model "$m" -app "$a" -n "$N" >/dev/null
+    done
+  done
+}
+
 echo "== forwarding + hop guard on direct /v1/run requests"
 # 14 digests through node0: on a 2-node ring at least one is owned by node1,
 # so node0 must proxy it (forward ok) and node1 must stop the hop.
-for m in N TN TON W TW TOW TOS; do
-  for a in gzip swim; do
-    ctl run -server "${urls[0]}" -model "$m" -app "$a" -n "$N" >/dev/null
-  done
-done
+direct_runs
 ctl top -server "${urls[0]}" -expect 'parrot_cluster_forwards_total{outcome="ok"}>=1'
 ctl top -server "${urls[1]}" -expect 'parrot_cluster_hop_guard_total>=1'
+
+echo "== repeat the direct runs: peer-owned cells come from node0's replicas"
+forwards="$(metric "${urls[0]}" 'parrot_cluster_forwards_total{outcome="ok"}')"
+[[ -n "$forwards" ]] || { echo "forwards counter absent on node0" >&2; exit 1; }
+direct_runs
+ctl top -server "${urls[0]}" \
+  -expect 'parrot_cluster_route_total{dest="replica"}>=1' \
+  -expect "parrot_cluster_forwards_total{outcome=\"ok\"}==$forwards"
 
 echo "== graceful drain of the survivors"
 for i in 0 1; do
