@@ -5,18 +5,16 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
-
-	"parrot/internal/experiments"
 )
 
-// runBaselineCheck is the CI perf-regression gate: it re-measures the steady
-// (pooled, program-cached, memoized) full-matrix pass and compares its
-// sim-MIPS against the committed BENCH_simkernel.json. A regression beyond
-// tolerance (e.g. 0.10 = 10%) fails with a non-zero exit so kernel slowdowns
-// are caught in review rather than discovered after merging; on success the
-// measured-vs-baseline delta is still printed so drift stays visible in CI
-// logs long before it trips the gate.
+// runBaselineCheck is the CI perf-regression gate: it re-measures the
+// exact engine's steady full-matrix pass on one core (steadyPasses) and
+// compares its sim-MIPS against the steady pass of the committed
+// BENCH_simkernel.json. A regression beyond tolerance (e.g. 0.10 = 10%)
+// fails with a non-zero exit so kernel slowdowns are caught in review
+// rather than discovered after merging; on success the measured-vs-baseline
+// delta is still printed so drift stays visible in CI logs long before it
+// trips the gate.
 //
 //	go run ./cmd/parrotbench -checkbaseline BENCH_simkernel.json -n 50000
 //	go run ./cmd/parrotbench -checkbaseline BENCH_simkernel.json -tolerance 0.05
@@ -46,35 +44,13 @@ func runBaselineCheck(path string, n int, tolerance float64, out io.Writer) erro
 			n, base.InstsPerApp)
 	}
 
-	// Cold pass pays compulsory costs (machine construction, program
-	// synthesis); the steady pass is what the baseline recorded. CI
-	// machines are noisy, so take the best of three timed steady passes —
-	// the fastest pass is the one least perturbed by unrelated load, and a
-	// genuine kernel regression slows every pass.
-	cfg := experiments.Config{Insts: n}
-	experiments.Run(cfg)
-	var mips float64
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		res := experiments.Run(cfg)
-		wall := time.Since(start).Seconds()
-		var insts uint64
-		for _, id := range res.Models() {
-			for _, p := range res.Apps() {
-				insts += res.Get(id, p.Name).Insts
-			}
-		}
-		if m := float64(insts) / wall / 1e6; m > mips {
-			mips = m
-		}
-	}
-
-	ratio := mips / ref.SimMIPS
-	fmt.Fprintf(out, "steady matrix pass: %.3f sim-MIPS (baseline %.3f, ratio %.3f, floor %.3f)\n",
-		mips, ref.SimMIPS, ratio, 1-tolerance)
+	_, steady, _ := steadyPasses(n)
+	ratio := steady.SimMIPS / ref.SimMIPS
+	fmt.Fprintf(out, "steady exact matrix pass, 1 proc: %.3f sim-MIPS (baseline %.3f, ratio %.3f, floor %.3f)\n",
+		steady.SimMIPS, ref.SimMIPS, ratio, 1-tolerance)
 	if ratio < 1-tolerance {
 		return fmt.Errorf("sim-MIPS regression: %.3f is %.1f%% below baseline %.3f (max allowed %.0f%%)",
-			mips, (1-ratio)*100, ref.SimMIPS, tolerance*100)
+			steady.SimMIPS, (1-ratio)*100, ref.SimMIPS, tolerance*100)
 	}
 	fmt.Fprintf(out, "perf gate: OK (%+.1f%% vs baseline, tolerance %.0f%%)\n",
 		(ratio-1)*100, tolerance*100)

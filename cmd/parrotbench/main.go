@@ -18,7 +18,6 @@
 //	parrotbench -simbench        # simulation-kernel throughput report (JSON)
 //	parrotbench -simbench -procs 2                    # add a GOMAXPROCS=2 matrix pass
 //	parrotbench -enginebench     # engine per-cycle micro-benchmark report (JSON)
-//	parrotbench -memobench       # memoization record/replay speedup report (JSON)
 //	parrotbench -checkbaseline BENCH_simkernel.json   # CI perf-regression gate
 //	parrotbench -checkbaseline BENCH_simkernel.json -tolerance 0.05
 //	parrotbench -progress        # live done/total + ETA on stderr
@@ -125,10 +124,8 @@ func run() error {
 	simbench := flag.Bool("simbench", false, "measure simulation-kernel throughput and emit a JSON report")
 	procs := flag.Int("procs", 0, "with -simbench: add a matrix pass at GOMAXPROCS=N for multi-core scaling (0 = skip)")
 	enginebench := flag.Bool("enginebench", false, "measure engine micro-workloads and emit a JSON report")
-	memobench := flag.Bool("memobench", false, "measure hot-window memoization record/replay speedups and emit a JSON report")
-	checkBaseline := flag.String("checkbaseline", "", "perf gate: compare a fresh steady matrix pass against this BENCH_simkernel.json")
+	checkBaseline := flag.String("checkbaseline", "", "perf gate: compare a fresh 1-proc steady matrix pass against this BENCH_simkernel.json")
 	tolerance := flag.Float64("tolerance", 0.10, "max fractional sim-MIPS regression tolerated by -checkbaseline")
-	maxRegress := flag.Float64("maxregress", 0.10, "deprecated alias of -tolerance")
 	progress := flag.Bool("progress", false, "report matrix progress and ETA on stderr")
 	remote := flag.String("remote", "", "serve the matrix from a parrotd instance at this base URL (falls back to local when unreachable)")
 	prof := profiling.Define()
@@ -148,23 +145,11 @@ func run() error {
 	}
 
 	if *checkBaseline != "" {
-		// -tolerance is the documented knob; honor -maxregress only when it
-		// was set explicitly and -tolerance was not.
-		tol := *tolerance
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if set["maxregress"] && !set["tolerance"] {
-			tol = *maxRegress
-		}
-		return runBaselineCheck(*checkBaseline, *n, tol, os.Stdout)
+		return runBaselineCheck(*checkBaseline, *n, *tolerance, os.Stdout)
 	}
 
 	if *enginebench {
 		return runEngineBench(os.Stdout)
-	}
-
-	if *memobench {
-		return runMemoBench(*n, os.Stdout)
 	}
 
 	if *table != "" {

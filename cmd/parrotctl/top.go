@@ -103,10 +103,9 @@ func renderTop(e *telemetry.Exposition, base string) {
 	fmt.Printf("requests   %s   (5xx %.0f)\n", strings.Join(parts, " | "), errs)
 
 	// Cell dispositions in serving order.
-	fmt.Printf("cells      hit %.0f | dedup %.0f | replayed %.0f | exact %.0f\n",
+	fmt.Printf("cells      hit %.0f | dedup %.0f | exact %.0f\n",
 		get(`parrot_cell_requests_total{disposition="hit"}`),
 		get(`parrot_cell_requests_total{disposition="dedup"}`),
-		get(`parrot_cell_requests_total{disposition="replayed"}`),
 		get(`parrot_cell_requests_total{disposition="exact"}`))
 
 	p50i, _ := e.HistQuantile("parrot_queue_wait_seconds", `class="interactive"`, 0.5)

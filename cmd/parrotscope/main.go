@@ -92,11 +92,6 @@ func run() error {
 	}{
 		{"summary.json", func(f *os.File) error {
 			s := experiments.Summarize(res, res.AvgDynPower())
-			// Surface the memoization fast path instead of hiding it: the
-			// probed run recorded windows (and would have bypassed a replay
-			// had a chain existed), and those counters belong in the summary.
-			ms := machine.MemoStats()
-			s.Memo = &ms
 			enc := json.NewEncoder(f)
 			enc.SetIndent("", "  ")
 			return enc.Encode(s)

@@ -31,12 +31,6 @@ type Predictor struct {
 	history  uint32
 	histBits uint
 
-	// epoch counts table/history mutations. It is monotone across the whole
-	// machine lifetime (statistics resets leave it alone), so it stands in
-	// for the full table contents in state fingerprints: two machines whose
-	// predictors took different training paths disagree on it.
-	epoch uint64
-
 	Stats Stats
 }
 
@@ -57,11 +51,6 @@ func NewPredictor(entries int, histBits uint) *Predictor {
 // Entries returns the table size.
 func (p *Predictor) Entries() int { return len(p.table) }
 
-// Epoch returns the mutation epoch: the count of Update calls since
-// construction or Reset. Used as a cheap dirty-set summary of the table and
-// history state by the memoization fingerprint (internal/core).
-func (p *Predictor) Epoch() uint64 { return p.epoch }
-
 // Reset returns the predictor to its just-constructed state: counters back
 // to weakly not-taken, history and statistics cleared. Part of the
 // machine-pooling Reset protocol.
@@ -70,7 +59,6 @@ func (p *Predictor) Reset() {
 		p.table[i] = 1
 	}
 	p.history = 0
-	p.epoch = 0
 	p.Stats = Stats{}
 }
 
@@ -89,7 +77,6 @@ func (p *Predictor) Predict(pc uint64) bool {
 // been wrong; callers that already called Predict should use Record instead
 // to avoid double-counting mispredictions.
 func (p *Predictor) Update(pc uint64, taken bool) {
-	p.epoch++
 	p.Stats.Updates++
 	i := p.index(pc)
 	c := p.table[i]

@@ -160,7 +160,8 @@ func Parse(spec string) ([]Rule, error) {
 				r.Site = val
 			case "p":
 				p, err := strconv.ParseFloat(val, 64)
-				if err != nil || p <= 0 || p > 1 {
+				// Written so NaN, which fails every comparison, is rejected.
+				if err != nil || !(p > 0 && p <= 1) {
 					return nil, fmt.Errorf("chaos: bad probability %q in rule %q", val, chunk)
 				}
 				r.P = p

@@ -92,6 +92,8 @@ func TestParse(t *testing.T) {
 	for _, bad := range []string{
 		"p=0.5",                // no site
 		"site=x p=2",           // probability out of range
+		"site=x p=NaN",         // not a probability at all
+		"site=x p=-Inf",        // likewise
 		"site=x lat=banana",    // unparseable duration
 		"site=x wobble=1",      // unknown field
 		"site=x err=sometimes", // err takes no value

@@ -155,21 +155,6 @@ type Machine struct {
 	rec         *obs.Recorder
 	obsBase     obsBaseline
 	obsNextIval uint64
-
-	// Hot-window memoization (memo.go). The chain table survives Reset so
-	// pooled machines carry recordings across jobs; the remaining fields are
-	// per-run recording state, cleared by Reset. The feed loop pays one
-	// predictable nil-check when recording is off.
-	memoOn         bool       // memoization enabled (PARROT_NO_MEMO overrides)
-	memo           *memoTable // recorded chains; lazily allocated
-	memoRec        *memoChain // chain under construction (nil otherwise)
-	memoWantRecord bool       // memoReplay verdict consumed by memoArm
-	memoNextFed    int        // next window boundary (fed instructions)
-	memoStep       int        // window length in fed instructions
-	memoPrevFed    int        // previous boundary position
-	memoPrevFP     uint64     // previous boundary fingerprint
-	memoPrev       []uint64   // flattened cumulative counters at previous boundary
-	memoBuf        []uint64   // reusable flatten scratch for replay
 }
 
 // New builds a machine for the given model configuration.
@@ -193,8 +178,6 @@ func New(model config.Model) *Machine {
 		traceFetchUops: model.TraceFetchUops,
 		frontDepth:     uint64(model.FrontDepth),
 		switchPenalty:  uint64(model.SwitchPenalty),
-
-		memoOn: !memoEnvDisabled,
 	}
 	if model.BPHistBits == 0 {
 		m.bp = branch.NewPredictor(model.BPEntries, 12)

@@ -79,11 +79,6 @@ func (m *Machine) Reset() {
 	m.rec = nil
 	m.obsBase = obsBaseline{}
 	m.obsNextIval = 0
-
-	// Memoization: an in-progress recording references the state just torn
-	// down and is discarded; the finished-chain table survives, so pooled
-	// machines replay specs they have seen in earlier jobs.
-	m.memoResetRecording()
 }
 
 // PoolStats counts pool traffic (exposed for the throughput benchmarks).
@@ -151,12 +146,6 @@ func (p *Pool) Put(m *Machine) {
 	if cap <= 0 {
 		cap = 16
 	}
-	// Pooled machines always hand out in the default memoization state: a
-	// holder that pinned EnableMemo(false) for its own runs must not leak
-	// that setting to the pool's next, unrelated consumer. Finished-chain
-	// tables (if any) travel with the machine.
-	m.memoOn = !memoEnvDisabled
-
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stats.Puts++

@@ -168,114 +168,66 @@ func engineEvents(st *ooo.Stats, c *energy.Counts) {
 	}
 }
 
-// gatherRun snapshots every result-relevant counter of the finished (or
-// in-flight, at a memoization window boundary) run into rc, without
-// mutating the machine. It is the counterpart of buildResult: together they
-// replace the old in-place collect, so the exact path and the memoized
-// replay path share one result construction.
-func (m *Machine) gatherRun(rc *runCounters) {
-	*rc = runCounters{
-		cycles:    m.clock - m.clockStart,
-		insts:     m.insts,
-		hotInsts:  m.hotInsts,
-		coldInsts: m.coldInsts,
-
-		traceAborts:  m.traceAborts,
-		abortedUops:  m.abortedUops,
-		optCount:     m.optCount,
-		optExecs:     m.optExecs,
-		uopsBefore:   m.uopsBefore,
-		uopsAfter:    m.uopsAfter,
-		critBefore:   m.critBefore,
-		critAfter:    m.critAfter,
-		buildCount:   m.buildCount,
-		hotSegments:  m.hotSegments,
-		coldSegments: m.coldSegments,
-		dynUopsOrig:  m.dynUopsOrig,
-		dynUopsOpt:   m.dynUopsOpt,
-		dynCritOrig:  m.dynCritOrig,
-		dynCritOpt:   m.dynCritOpt,
-		optSeen:      uint64(len(m.optSeen)),
-
-		counts:    m.counts,
-		countsHot: m.countsHot,
-
-		cold: m.cold.Stats,
-
-		l1i:        m.hier.L1I.Stats,
-		l1d:        m.hier.L1D.Stats,
-		l2:         m.hier.L2.Stats,
-		prefetches: m.hier.Prefetches,
-
-		bp: m.bp.Stats,
-	}
-	if m.model.Split {
-		rc.hot = m.hot.Stats
-	}
-	if m.tp != nil {
-		rc.tp = m.tp.Stats
-	}
-	if m.tc != nil {
-		rc.tc = m.tc.Stats
-	}
-}
-
-// buildResult produces the Result for a counter block. It is pure in the
-// mutable machine state: it reads only the immutable model configuration
-// and energy models, so a replayed counter block prices to a byte-identical
-// Result. The event folding and pricing order exactly mirror the original
-// collect, keeping the golden matrix digest unchanged.
-func (m *Machine) buildResult(prof workload.Profile, rc *runCounters) *Result {
+// collect finalizes all statistics into a Result. It reads the machine
+// without mutating it: the energy-event vectors are folded on copies.
+func (m *Machine) collect(prof workload.Profile) *Result {
 	// Engine-derived events.
-	counts, countsHot := rc.counts, rc.countsHot
-	engineEvents(&rc.cold, &counts)
+	counts, countsHot := m.counts, m.countsHot
+	engineEvents(&m.cold.Stats, &counts)
+	uopsCommitted, uopsDispatched := m.cold.Stats.UopsCommitted, m.cold.Stats.UopsDispatched
 	if m.model.Split {
-		engineEvents(&rc.hot, &countsHot)
+		engineEvents(&m.hot.Stats, &countsHot)
+		uopsCommitted += m.hot.Stats.UopsCommitted
+		uopsDispatched += m.hot.Stats.UopsDispatched
 	}
 
 	// Memory hierarchy events.
-	counts.Add(energy.EvFetchLine, rc.l1i.Accesses)
-	counts.Add(energy.EvL1DAccess, rc.l1d.Accesses)
-	counts.Add(energy.EvL1DMiss, rc.l1d.Misses)
-	counts.Add(energy.EvL2Access, rc.l2.Accesses)
+	counts.Add(energy.EvFetchLine, m.hier.L1I.Stats.Accesses)
+	counts.Add(energy.EvL1DAccess, m.hier.L1D.Stats.Accesses)
+	counts.Add(energy.EvL1DMiss, m.hier.L1D.Stats.Misses)
+	counts.Add(energy.EvL2Access, m.hier.L2.Stats.Accesses)
 	// Prefetch fills consume L2 bandwidth and energy like demand accesses.
-	counts.Add(energy.EvL2Access, rc.prefetches)
-	counts.Add(energy.EvMemAccess, rc.l2.Misses)
+	counts.Add(energy.EvL2Access, m.hier.Prefetches)
+	counts.Add(energy.EvMemAccess, m.hier.L2.Stats.Misses)
 
 	r := &Result{
 		Model:     m.model.ID,
 		App:       prof.Name,
 		Suite:     prof.Suite,
-		Insts:     rc.insts,
-		Cycles:    rc.cycles,
-		HotInsts:  rc.hotInsts,
-		ColdInsts: rc.coldInsts,
+		Insts:     m.insts,
+		Cycles:    m.clock - m.clockStart,
+		HotInsts:  m.hotInsts,
+		ColdInsts: m.coldInsts,
 		CoreAreaK: m.model.CoreAreaK,
 		L2MB:      m.hier.L2SizeMB(),
 
-		BranchStats: rc.bp,
-		TPredStats:  rc.tp,
-		TCStats:     rc.tc,
+		BranchStats: m.bp.Stats,
 
-		TraceAborts:  rc.traceAborts,
-		TraceBuilds:  rc.buildCount,
-		HotSegments:  rc.hotSegments,
-		ColdSegments: rc.coldSegments,
+		TraceAborts:  m.traceAborts,
+		TraceBuilds:  m.buildCount,
+		HotSegments:  m.hotSegments,
+		ColdSegments: m.coldSegments,
 
-		Optimizations: rc.optCount,
-		OptUopsBefore: rc.uopsBefore,
-		OptUopsAfter:  rc.uopsAfter,
-		OptCritBefore: rc.critBefore,
-		OptCritAfter:  rc.critAfter,
-		DynUopsOrig:   rc.dynUopsOrig,
-		DynUopsOpt:    rc.dynUopsOpt,
-		DynCritOrig:   rc.dynCritOrig,
-		DynCritOpt:    rc.dynCritOpt,
-		OptTracesSeen: rc.optSeen,
-		OptExecs:      rc.optExecs,
+		Optimizations: m.optCount,
+		OptUopsBefore: m.uopsBefore,
+		OptUopsAfter:  m.uopsAfter,
+		OptCritBefore: m.critBefore,
+		OptCritAfter:  m.critAfter,
+		DynUopsOrig:   m.dynUopsOrig,
+		DynUopsOpt:    m.dynUopsOpt,
+		DynCritOrig:   m.dynCritOrig,
+		DynCritOpt:    m.dynCritOpt,
+		OptTracesSeen: uint64(len(m.optSeen)),
+		OptExecs:      m.optExecs,
 
-		UopsCommitted:  rc.cold.UopsCommitted + rc.hot.UopsCommitted,
-		UopsDispatched: rc.cold.UopsDispatched + rc.hot.UopsDispatched,
+		UopsCommitted:  uopsCommitted,
+		UopsDispatched: uopsDispatched,
+	}
+	if m.tp != nil {
+		r.TPredStats = m.tp.Stats
+	}
+	if m.tc != nil {
+		r.TCStats = m.tc.Stats
 	}
 
 	// Energy: price the two vectors with their models, merge for reporting.
@@ -288,11 +240,4 @@ func (m *Machine) buildResult(prof workload.Profile, rc *runCounters) *Result {
 	r.Counts = counts
 	r.Counts.AddCounts(&countsHot)
 	return r
-}
-
-// collect finalizes all statistics into a Result.
-func (m *Machine) collect(prof workload.Profile) *Result {
-	var rc runCounters
-	m.gatherRun(&rc)
-	return m.buildResult(prof, &rc)
 }

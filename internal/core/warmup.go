@@ -109,20 +109,10 @@ func RunWarmOn(m *Machine, prof workload.Profile, n int) *Result {
 	if n <= 0 {
 		n = prof.Instructions
 	}
-	warm := int(float64(n) * WarmupFraction)
-	// Hot-window memoization fast path: a reset machine re-running a spec it
-	// has already recorded replays the stored window deltas — skipping
-	// program synthesis, stream generation and simulation entirely — and
-	// produces a byte-identical Result (memo.go). Any miss falls through to
-	// the exact engine below, optionally recording the trajectory.
-	if r := m.memoReplay(prof, n, warm); r != nil {
-		return r
-	}
 	prog := workload.GenerateCached(prof)
 	src := workload.GetStream(prog, n)
 	defer workload.PutStream(src)
-	m.memoArm(prof, n, warm)
-	return m.RunSourceWarm(src, prof, warm)
+	return m.RunSourceWarm(src, prof, int(float64(n)*WarmupFraction))
 }
 
 // RunWarmFresh is RunWarm on a never-pooled, freshly constructed machine —
@@ -154,11 +144,6 @@ func (m *Machine) RunSourceWarm(src InstSource, prof workload.Profile, warm int)
 		if fed == warm {
 			m.ResetStats()
 		}
-		// Memoization window boundary: snapshot after the warmup reset so
-		// the first window of the measured region starts clean.
-		if m.memoRec != nil && fed >= m.memoNextFed {
-			m.memoBoundary(fed)
-		}
 	}
 	segs := m.sel.Flush()
 	for i := range segs {
@@ -168,11 +153,6 @@ func (m *Machine) RunSourceWarm(src InstSource, prof workload.Profile, warm int)
 	m.drain()
 	if m.rec != nil {
 		m.obsFinish()
-	}
-	if m.memoRec != nil {
-		// The final window closes after drain, so the chain reproduces the
-		// complete end-of-run counter block.
-		m.memoFinalize(fed)
 	}
 	return m.collect(prof)
 }

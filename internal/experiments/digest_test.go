@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 
+	"parrot/internal/config"
+	"parrot/internal/core"
 	"parrot/internal/workload"
 )
 
@@ -62,5 +64,25 @@ func TestDigestIndependentOfParallelism(t *testing.T) {
 	b := Run(Config{Insts: 20_000, Apps: apps, Parallelism: 8})
 	if da, db := a.Digest(), b.Digest(); da != db {
 		t.Fatalf("digest differs across parallelism: %s vs %s", da, db)
+	}
+}
+
+// TestMatrixRepeatDigestStable: a second pass over the same configuration
+// runs on machines the first pass returned to the pool, and must digest
+// identically. Reset is what makes a reused machine indistinguishable from
+// a fresh one; this pins it at matrix level.
+func TestMatrixRepeatDigestStable(t *testing.T) {
+	apps := appsByName(t, "gzip", "swim", "flash", "word")
+	models := []config.Model{config.Get(config.N), config.Get(config.TON)}
+	cfg := Config{Insts: 12_000, Apps: apps, Models: models}
+
+	first := Run(cfg).Digest()
+	reuses := core.DefaultPool.Stats().Reuses
+	second := Run(cfg).Digest()
+	if core.DefaultPool.Stats().Reuses == reuses {
+		t.Fatal("second pass drew no pooled machine; the test needs reused machines")
+	}
+	if first != second {
+		t.Fatalf("repeated matrix pass changed the digest: %s vs %s", first, second)
 	}
 }

@@ -31,14 +31,6 @@ type Config struct {
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
 
-	// Memoize selects hot-window memoization for the matrix machines.
-	// The default (MemoDefault) enables it: repeated matrix passes replay
-	// recorded steady-state windows instead of re-simulating, bit-identically
-	// (the golden digest gate runs with memoization enabled). MemoOff forces
-	// the exact cycle engine; the PARROT_NO_MEMO environment variable
-	// force-disables memoization process-wide regardless of this field.
-	Memoize MemoMode
-
 	// Progress, when non-nil, receives completion updates from the matrix
 	// fan-out: cells done so far, the total cell count, wall time elapsed and
 	// an ETA extrapolated from the mean per-cell time. Invocations are
@@ -51,18 +43,6 @@ type Config struct {
 	// serializes on them.
 	Progress func(done, total int, elapsed, eta time.Duration)
 }
-
-// MemoMode selects hot-window memoization for matrix runs (Config.Memoize).
-type MemoMode int
-
-const (
-	// MemoDefault memoizes unless PARROT_NO_MEMO is set in the environment.
-	MemoDefault MemoMode = iota
-	// MemoOff forces the exact cycle engine for every cell.
-	MemoOff
-	// MemoOn is explicit opt-in; PARROT_NO_MEMO still overrides it.
-	MemoOn
-)
 
 // Results holds the complete model × application result matrix as a dense
 // row-major slice (one row per model, one column per application). Cells are
@@ -158,11 +138,6 @@ func Run(cfg Config) *Results {
 				m := local[model]
 				if m == nil {
 					m = core.DefaultPool.Get(model) // arrives reset
-					// Pooled machines keep their memoization setting (and
-					// chain tables) across jobs; pin it to this config so a
-					// machine last used by a MemoOff run re-enables, and
-					// vice versa.
-					m.EnableMemo(cfg.Memoize != MemoOff)
 					local[model] = m
 				} else {
 					m.Reset()

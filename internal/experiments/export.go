@@ -39,13 +39,6 @@ type RunSummary struct {
 	// how many transport attempts the retrying client needed to obtain the
 	// cell (1 = first try; 0 = local run, omitted).
 	Attempts int `json:"attempts,omitempty"`
-
-	// Memo, when set by the caller (parrotscope), reports the machine's
-	// hot-window memoization activity: windows recorded/replayed and
-	// instructions covered by replay. Probed runs always execute the exact
-	// engine, so for observability runs this shows recording plus any
-	// replay bypasses rather than replays.
-	Memo *core.MemoStats `json:"memo,omitempty"`
 }
 
 // Summarize converts one run result into its machine-readable record,

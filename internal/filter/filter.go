@@ -59,11 +59,6 @@ func (c *CounterCache) Threshold() uint32 { return c.threshold }
 // Entries returns the total entry count.
 func (c *CounterCache) Entries() int { return len(c.keys) }
 
-// Epoch returns the filter's LRU clock: a monotone count of Bump calls,
-// each of which mutates counter and recency state. Used as a dirty-set
-// summary by the memoization fingerprint.
-func (c *CounterCache) Epoch() uint64 { return c.clock }
-
 // Bump increments the counter for key, allocating (and possibly evicting)
 // on first touch. promoted is true exactly once per resident entry: on the
 // access that reaches the threshold. A re-allocated (evicted and re-inserted)

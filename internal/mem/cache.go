@@ -19,11 +19,6 @@ type CacheStats struct {
 	Writes    uint64
 }
 
-// Epoch returns the cache's LRU clock: a monotone count of state-mutating
-// accesses. The memoization fingerprint folds it in as a dirty-set summary
-// of tag-array and recency state, avoiding a full line rescan.
-func (c *Cache) Epoch() uint64 { return c.clock }
-
 // MissRate returns the fraction of accesses that missed.
 func (s *CacheStats) MissRate() float64 {
 	if s.Accesses == 0 {

@@ -71,14 +71,6 @@ const (
 	// KSelectJoin: the selector joined an identical consecutive unit into
 	// the pending segment (loop unrolling). A = TID key, B = join count.
 	KSelectJoin
-	// KWindowRecord: one hot-window memoization boundary snapshot was
-	// recorded. A = fed instruction position, B = state fingerprint.
-	KWindowRecord
-	// KWindowReplay: a complete recorded chain covered this run, but the
-	// attached recorder forced the exact engine (replay bypass — probed
-	// runs always simulate). A = chain window count, B = measured
-	// instructions the chain would have replayed.
-	KWindowReplay
 	numKinds
 )
 
@@ -86,7 +78,7 @@ var kindNames = [numKinds]string{
 	"segment", "pipe-switch", "tpred", "tc-hit", "tc-miss", "tc-insert",
 	"tc-evict", "hot-promote", "blaze-promote", "optimize", "opt-pass",
 	"trace-abort", "stall-rob", "stall-iq", "measure-start",
-	"select-emit", "select-join", "window-record", "window-replay",
+	"select-emit", "select-join",
 }
 
 // String implements fmt.Stringer.
@@ -408,19 +400,6 @@ func (r *Recorder) Stall(rob bool, hot bool) {
 // re-baselines so interval 0 starts at the measured window.
 func (r *Recorder) MeasureStart() {
 	r.Bus.Emit(KMeasureStart, r.now(), 0, 0, 0)
-}
-
-// WindowRecorded reports one hot-window memoization boundary snapshot
-// taken during this (recording) run.
-func (r *Recorder) WindowRecorded(fed int, fingerprint uint64) {
-	r.Bus.Emit(KWindowRecord, r.now(), uint64(fed), fingerprint, 0)
-}
-
-// WindowReplayBypassed reports that a complete recorded chain covered this
-// run but the attached recorder forced the exact engine: probed runs always
-// simulate, so observability artifacts never hide behind the fast path.
-func (r *Recorder) WindowReplayBypassed(windows int, insts uint64) {
-	r.Bus.Emit(KWindowReplay, r.now(), uint64(windows), insts, 0)
 }
 
 // Finalize stamps the end of the run: still-resident traces close their

@@ -356,25 +356,6 @@ func (e *Engine) StoreQueueLen() int { return e.storeCnt }
 // IQLen returns the modelled issue-queue occupancy (dispatched, un-issued).
 func (e *Engine) IQLen() int { return e.iqCnt }
 
-// StateFingerprint folds the engine's mutable occupancy state — pipeline
-// fill, outstanding completions (time-wheel plus overflow), in-flight
-// stores and the engine clock — into one word for the hot-window
-// memoization fingerprint (internal/core). It reads O(1) scalars, never
-// the ROB or wheel contents: the sequence counters advance with every
-// dispatched uop, so two engines that processed different work cannot
-// agree on all of them.
-func (e *Engine) StateFingerprint() uint64 {
-	h := uint64(1469598103934665603) // FNV-64 offset basis
-	for _, w := range [...]uint64{
-		e.now, uint64(e.head), uint64(e.tail),
-		uint64(e.iqCnt), uint64(e.readyCnt), uint64(e.pendingCnt),
-		uint64(e.storeCnt), uint64(e.storePend),
-	} {
-		h = (h ^ w) * 1099511628211
-	}
-	return h
-}
-
 // InFlight returns the number of uops in the ROB.
 func (e *Engine) InFlight() int { return int(e.tail - e.head) }
 

@@ -136,7 +136,7 @@ func New(cfg Config) *Server {
 	}
 	s.cellReqs = func(disp string) *telemetry.Counter {
 		return s.reg.Counter("parrot_cell_requests_total",
-			"Simulation cells served, by disposition (hit/dedup/replayed/exact).",
+			"Simulation cells served, by disposition (hit/dedup/exact).",
 			"disposition", disp)
 	}
 	s.cellSecs = func(disp string) *telemetry.Histogram {
@@ -281,7 +281,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 					if ms < 1 {
 						ms = 1
 					}
-					budget := time.Duration(ms) * time.Millisecond
+					budget := proto.Duration(ms, time.Millisecond)
 					var cancel context.CancelFunc
 					ctx, cancel = context.WithTimeout(ctx, budget)
 					defer cancel()
@@ -524,7 +524,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
+		timeout = proto.Duration(int64(req.TimeoutMs), time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()

@@ -50,7 +50,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	timeout := s.cfg.MaxMatrixTimeout
 	if req.TimeoutMs > 0 {
-		t := time.Duration(req.TimeoutMs) * time.Millisecond
+		t := proto.Duration(int64(req.TimeoutMs), time.Millisecond)
 		if t < timeout {
 			timeout = t
 		}

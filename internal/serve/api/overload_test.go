@@ -213,3 +213,44 @@ func TestMatrixPartialResults(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeDeadlineBudgetIsUnbounded: an X-Parrot-Deadline or timeoutMs
+// budget past the Duration range must saturate, not wrap into a negative
+// timeout that answers 504 (or a stale degraded cell) instead of
+// simulating. Each case asks for a different app, so none can be answered
+// from the cache or from a cached cell of the same family.
+func TestHugeDeadlineBudgetIsUnbounded(t *testing.T) {
+	hs, cl, _ := overloadServer(t)
+	for _, tc := range []struct {
+		app       string
+		deadline  string
+		timeoutMs int
+	}{
+		{"gzip", "60000", 0},
+		{"swim", "9300000000000", 0},
+		{"flash", "9223372036854775807", 0},
+		{"word", "", 9_300_000_000_000},
+	} {
+		t.Run(tc.app, func(t *testing.T) {
+			var hdr map[string]string
+			if tc.deadline != "" {
+				hdr = map[string]string{proto.DeadlineHeader: tc.deadline}
+			}
+			resp := postRun(t, hs, proto.RunRequest{Model: "TON", App: tc.app, Insts: 5000, TimeoutMs: tc.timeoutMs}, hdr)
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || resp.Header.Get(proto.DegradedHeader) != "" {
+				t.Fatalf("status = %d, degraded = %q; want an exact 200",
+					resp.StatusCode, resp.Header.Get(proto.DegradedHeader))
+			}
+		})
+	}
+
+	// /v1/matrix caps timeoutMs at its own maximum; a wrapped budget slipped
+	// under that cap as a negative timeout.
+	m, err := cl.Matrix(context.Background(), proto.MatrixRequest{
+		Models: []string{"N"}, Apps: []string{"gcc"}, Insts: 5000, TimeoutMs: 9_300_000_000_000,
+	}, nil)
+	if err != nil || m.FailedCells != 0 {
+		t.Fatalf("matrix with a huge timeoutMs: err %v, response %+v", err, m)
+	}
+}

@@ -299,13 +299,13 @@ func decodeErr(resp *http.Response) error {
 	he := &HTTPError{Status: resp.StatusCode}
 	if v := resp.Header.Get(proto.RetryAfterMsHeader); v != "" {
 		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
-			he.RetryAfter = time.Duration(ms) * time.Millisecond
+			he.RetryAfter = proto.Duration(ms, time.Millisecond)
 		}
 	}
 	if he.RetryAfter == 0 {
 		if v := resp.Header.Get("Retry-After"); v != "" {
 			if secs, err := strconv.ParseInt(v, 10, 64); err == nil && secs > 0 {
-				he.RetryAfter = time.Duration(secs) * time.Second
+				he.RetryAfter = proto.Duration(secs, time.Second)
 			}
 		}
 	}
@@ -313,7 +313,7 @@ func decodeErr(resp *http.Response) error {
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&e); err == nil {
 		he.Msg = e.Error
 		if he.RetryAfter == 0 && e.RetryAfterMs > 0 {
-			he.RetryAfter = time.Duration(e.RetryAfterMs) * time.Millisecond
+			he.RetryAfter = proto.Duration(e.RetryAfterMs, time.Millisecond)
 		}
 	}
 	return he

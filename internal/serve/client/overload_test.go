@@ -3,9 +3,12 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -180,5 +183,43 @@ func TestChaosInjectionRetriesLikeTransportError(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("server saw %d requests, want 1 (the injected attempt never hit the wire)", calls.Load())
+	}
+}
+
+// TestDecodeErrSaturatesRetryAfter: back-off hints past the Duration range
+// must saturate to a long wait, not wrap negative and silently turn a
+// hinted 429 into a non-retryable one.
+func TestDecodeErrSaturatesRetryAfter(t *testing.T) {
+	const max = time.Duration(math.MaxInt64)
+	for _, tc := range []struct {
+		name   string
+		hdr    map[string]string
+		body   string
+		wantRA time.Duration
+	}{
+		{"ms-normal", map[string]string{proto.RetryAfterMsHeader: "250"}, "", 250 * time.Millisecond},
+		{"secs-normal", map[string]string{"Retry-After": "2"}, "", 2 * time.Second},
+		{"ms-wraps", map[string]string{proto.RetryAfterMsHeader: "9300000000000"}, "", max},
+		{"ms-max", map[string]string{proto.RetryAfterMsHeader: "9223372036854775807"}, "", max},
+		{"secs-wraps", map[string]string{"Retry-After": "9300000000"}, "", max},
+		{"body-wraps", nil, `{"error":"shed","retryAfterMs":9300000000000}`, max},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := &http.Response{
+				StatusCode: http.StatusTooManyRequests,
+				Header:     http.Header{},
+				Body:       io.NopCloser(strings.NewReader(tc.body)),
+			}
+			for k, v := range tc.hdr {
+				resp.Header.Set(k, v)
+			}
+			he := decodeErr(resp).(*HTTPError)
+			if he.RetryAfter != tc.wantRA {
+				t.Fatalf("RetryAfter = %v, want %v", he.RetryAfter, tc.wantRA)
+			}
+			if !retryable(he) {
+				t.Fatal("a hinted 429 must stay retryable")
+			}
+		})
 	}
 }

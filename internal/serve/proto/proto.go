@@ -6,7 +6,12 @@
 // one definition.
 package proto
 
-import "parrot/internal/core"
+import (
+	"math"
+	"time"
+
+	"parrot/internal/core"
+)
 
 // Priority names of RunRequest.Priority.
 const (
@@ -29,6 +34,20 @@ const (
 	// standard Retry-After header on 429 shed responses.
 	RetryAfterMsHeader = "X-Parrot-Retry-After-Ms"
 )
+
+// Duration converts n units read off the wire (a header or a JSON field)
+// to a time.Duration, saturating at the Duration range instead of
+// wrapping. A wrapped budget would flip sign; a saturated one is ~292
+// years, which every caller treats as unbounded.
+func Duration(n int64, unit time.Duration) time.Duration {
+	switch {
+	case n > math.MaxInt64/int64(unit):
+		return math.MaxInt64
+	case n < math.MinInt64/int64(unit):
+		return math.MinInt64
+	}
+	return time.Duration(n) * unit
+}
 
 // RunRequest asks for one simulation cell. Model and App are resolved
 // server-side against the paper's model set and benchmark roster; the
@@ -53,8 +72,8 @@ type RunResponse struct {
 	// without touching the worker fleet.
 	Cached bool `json:"cached"`
 	// Disposition refines Cached: how the cell was obtained — "hit" (result
-	// cache), "dedup" (joined an in-flight identical spec), "replayed"
-	// (memo-replay simulation), "exact" (full simulation).
+	// cache), "dedup" (joined an in-flight identical spec), "exact" (full
+	// simulation).
 	Disposition string `json:"disposition,omitempty"`
 	// RequestID is the server-assigned (or client-propagated
 	// X-Parrot-Request-Id) correlation ID; feed it to /v1/trace/{id} for the
@@ -100,7 +119,7 @@ type Progress struct {
 	EtaUs     int64 `json:"etaUs"`
 	// Cached reports whether the just-completed cell came from cache.
 	Cached bool `json:"cached"`
-	// Disposition refines Cached ("hit", "dedup", "replayed", "exact").
+	// Disposition refines Cached ("hit", "dedup", "exact").
 	Disposition string `json:"disposition,omitempty"`
 	// Failed counts cells (cumulative) that ended in a per-cell error
 	// instead of a result.
@@ -113,7 +132,7 @@ type Cell struct {
 	App    string `json:"app"`
 	Digest string `json:"digest"` // RunSpec digest (content address)
 	Cached bool   `json:"cached"`
-	// Disposition refines Cached ("hit", "dedup", "replayed", "exact").
+	// Disposition refines Cached ("hit", "dedup", "exact").
 	Disposition string       `json:"disposition,omitempty"`
 	Result      *core.Result `json:"result"`
 	// Node is the cluster node that served the cell (empty when the
@@ -241,7 +260,7 @@ type SchedMetrics struct {
 	BusyUs           int64   `json:"busyUs"`
 	SimMIPS          float64 `json:"simMIPS"`     // simulated Minsts per busy second
 	Utilization      float64 `json:"utilization"` // busy time / (workers × uptime)
-	// Overload-resilience counters (see DESIGN.md §14).
+	// Overload-resilience counters (see DESIGN.md §13).
 	ShedInteractive  uint64  `json:"shedInteractive"`
 	ShedBatch        uint64  `json:"shedBatch"`
 	DeadlineRejected uint64  `json:"deadlineRejected"`

@@ -26,7 +26,7 @@
 //     a worker pops it is evicted instead of simulated for nobody.
 //
 // Telemetry: every Submit resolves to a Disposition (cache hit,
-// singleflight dedup, memo replay, exact simulation) that the HTTP layer
+// singleflight dedup, exact simulation) that the HTTP layer
 // splits its request metrics by; queue waits land in per-class registry
 // histograms; and a request trace travelling in the context gains spans
 // for the queue residency, machine checkout, the run itself and the cache
@@ -80,20 +80,17 @@ type Disposition uint8
 const (
 	DispCacheHit Disposition = iota // served from the result cache without queueing
 	DispDeduped                     // joined an in-flight identical spec (singleflight)
-	DispReplayed                    // simulated via hot-window memo replay on a pooled machine
 	DispComputed                    // simulated on the exact cycle engine
 )
 
 // String returns the disposition label used in metrics, spans and wire
-// responses: "hit", "dedup", "replayed", "exact".
+// responses: "hit", "dedup", "exact".
 func (d Disposition) String() string {
 	switch d {
 	case DispCacheHit:
 		return "hit"
 	case DispDeduped:
 		return "dedup"
-	case DispReplayed:
-		return "replayed"
 	default:
 		return "exact"
 	}
@@ -159,7 +156,6 @@ type Stats struct {
 	ShedBatch        uint64 // batch jobs bounced by admission control
 	DeadlineRejected uint64 // fast-failed: remaining deadline below cost estimate
 	Completed        uint64 // simulations actually executed
-	Replayed         uint64 // completed via hot-window memo replay on a pooled machine
 	Abandoned        uint64 // queued jobs dropped because every waiter left
 	DeadlineEvicted  uint64 // queued jobs evicted after their deadline lapsed
 
@@ -196,8 +192,7 @@ type flight struct {
 	done    chan struct{}
 	res     *core.Result
 	err     error
-	disp    Disposition // how the flight itself completed (exact/replayed)
-	waiters int         // live waiters; 0 allows abandonment while queued
+	waiters int // live waiters; 0 allows abandonment while queued
 }
 
 // job is one queued unit of work.
@@ -232,7 +227,7 @@ type Sched struct {
 
 	// Registry instruments (nil when no registry: all no-ops).
 	queueWait [2]*telemetry.Histogram // per priority class
-	runsTotal [2]*telemetry.Counter   // exact / replayed
+	runsTotal *telemetry.Counter
 	simInsts  *telemetry.Counter
 	simCycles *telemetry.Counter
 	dynEnergy *telemetry.Counter
@@ -287,10 +282,8 @@ func New(cfg Config) *Sched {
 			"Time jobs spend queued before a worker pops them, by priority class.",
 			waitBounds, "class", pri.String())
 	}
-	s.runsTotal[0] = reg.Counter("parrot_sim_runs_total",
-		"Simulations completed by the worker fleet, by memo disposition.", "memo", "exact")
-	s.runsTotal[1] = reg.Counter("parrot_sim_runs_total",
-		"Simulations completed by the worker fleet, by memo disposition.", "memo", "replayed")
+	s.runsTotal = reg.Counter("parrot_sim_runs_total",
+		"Simulations completed by the worker fleet.")
 	s.simInsts = reg.Counter("parrot_sim_insts_total",
 		"Dynamic instructions simulated by the worker fleet (measured windows).")
 	s.simCycles = reg.Counter("parrot_sim_cycles_total",
@@ -344,7 +337,6 @@ func (s *Sched) collect(emit telemetry.Emit) {
 	emit("parrot_queue_age_seconds", "gauge", "Age of the queue head, by priority class.",
 		st.OldestBatch.Seconds(), "class", "batch")
 	emit("parrot_sched_completed_total", "counter", "Simulations executed.", float64(st.Completed))
-	emit("parrot_sched_replayed_total", "counter", "Simulations completed via memo replay.", float64(st.Replayed))
 	emit("parrot_sched_abandoned_total", "counter", "Queued jobs dropped with no waiters.", float64(st.Abandoned))
 	emit("parrot_sched_busy_seconds_total", "counter", "Cumulative worker time spent simulating.", st.BusyTime.Seconds())
 	emit("parrot_sched_workers", "gauge", "Worker fleet size.", float64(st.Workers))
@@ -362,7 +354,7 @@ func (s *Sched) Pool() *core.Pool { return s.pool }
 // Submit resolves one spec: cache fast path, then singleflight join or
 // enqueue. It blocks until the cell is available, the context is done, or
 // the scheduler rejects the job. The Disposition reports how the result
-// was obtained (cache hit, dedup join, memo replay, exact simulation).
+// was obtained (cache hit, dedup join, exact simulation).
 //
 // Cancellation semantics: a caller whose ctx ends stops waiting
 // immediately (the flight keeps running if other waiters remain, and a
@@ -499,7 +491,7 @@ func (s *Sched) wait(ctx context.Context, tr *telemetry.Trace, fl *flight) (*cor
 	defer sp.End()
 	select {
 	case <-fl.done:
-		return fl.res, fl.disp, fl.err
+		return fl.res, DispComputed, fl.err
 	case <-ctx.Done():
 		s.mu.Lock()
 		fl.waiters--
@@ -645,35 +637,21 @@ func (s *Sched) worker() {
 			continue
 		}
 
-		// Worker machines keep their memo chain tables across jobs (Reset
-		// preserves them), so a spec that misses the result cache but was
-		// simulated before on this machine replays instead of re-simulating.
-		preReplays := m.MemoStats().RunsReplayed
 		res := core.RunWarmOn(m, j.spec.App, j.spec.Insts)
 		doneT := s.now()
 		busy := doneT.Sub(gotM)
-		replayed := m.MemoStats().RunsReplayed > preReplays
 
-		disp := DispComputed
-		if replayed {
-			disp = DispReplayed
-		}
 		// Per-run totals surface through the same RunSummary record the
 		// matrix export and CLI -json outputs use.
 		sum := experiments.Summarize(res, 0)
 		s.simInsts.Add(float64(sum.Insts))
 		s.simCycles.Add(float64(sum.Cycles))
 		s.dynEnergy.Add(sum.DynEnergy)
-		if replayed {
-			s.runsTotal[1].Inc()
-		} else {
-			s.runsTotal[0].Inc()
-		}
+		s.runsTotal.Inc()
 		j.tr.AddSpan("sim.run", telemetry.TIDWorker, gotM, doneT,
 			telemetry.A("model", string(j.spec.Model.ID)),
 			telemetry.A("app", j.spec.App.Name),
-			telemetry.A("insts", strconv.FormatUint(sum.Insts, 10)),
-			telemetry.A("memo", disp.String()))
+			telemetry.A("insts", strconv.FormatUint(sum.Insts, 10)))
 
 		if c := s.cfg.Cache; c != nil {
 			// Disk write errors are non-fatal: the result is still returned
@@ -686,9 +664,6 @@ func (s *Sched) worker() {
 
 		s.mu.Lock()
 		s.stats.Completed++
-		if replayed {
-			s.stats.Replayed++
-		}
 		s.stats.SimInsts += res.Insts
 		s.stats.SimCycles += res.Cycles
 		s.stats.DynEnergy += res.DynEnergy
@@ -702,7 +677,6 @@ func (s *Sched) worker() {
 		}
 		delete(s.inflight, j.digest)
 		j.fl.res = res
-		j.fl.disp = disp
 		close(j.fl.done)
 		s.mu.Unlock()
 	}

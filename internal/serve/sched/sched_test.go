@@ -45,7 +45,7 @@ func TestSubmitComputesAndCaches(t *testing.T) {
 	if disp.Cached() {
 		t.Fatal("first submit reported a cache hit")
 	}
-	if disp != DispComputed && disp != DispReplayed {
+	if disp != DispComputed {
 		t.Fatalf("first submit disposition = %v, want a simulation", disp)
 	}
 	if res == nil || res.Insts == 0 {
@@ -403,14 +403,13 @@ func TestStatsNeverTorn(t *testing.T) {
 // responses share.
 func TestDispositionLabels(t *testing.T) {
 	for d, want := range map[Disposition]string{
-		DispCacheHit: "hit", DispDeduped: "dedup",
-		DispReplayed: "replayed", DispComputed: "exact",
+		DispCacheHit: "hit", DispDeduped: "dedup", DispComputed: "exact",
 	} {
 		if d.String() != want {
 			t.Errorf("%d.String() = %q, want %q", d, d.String(), want)
 		}
 	}
-	if !DispCacheHit.Cached() || DispDeduped.Cached() || DispReplayed.Cached() || DispComputed.Cached() {
+	if !DispCacheHit.Cached() || DispDeduped.Cached() || DispComputed.Cached() {
 		t.Error("Cached() wrong for some disposition")
 	}
 }

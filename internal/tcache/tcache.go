@@ -86,12 +86,6 @@ func New(frames, ways int) *Cache {
 // Frames returns the capacity in trace frames.
 func (c *Cache) Frames() int { return len(c.traces) }
 
-// Epoch returns the cache's LRU clock: a monotone count of every
-// state-mutating operation (lookups touch LRU stamps, inserts and evictions
-// change contents). The memoization fingerprint uses it as a dirty-set
-// summary of contents and recency state in place of a full-frame rescan.
-func (c *Cache) Epoch() uint64 { return c.clock }
-
 func (c *Cache) set(key uint64) int {
 	return int((key^key>>13)&c.setMask) * c.ways
 }

@@ -45,11 +45,6 @@ type Predictor struct {
 	// robustly; deeper history fragments training on irregular code.
 	last [2]uint64
 
-	// epoch counts table/history mutations (Train calls). Monotone across
-	// statistics resets, it summarizes the table contents for the
-	// memoization state fingerprint without a full-table rescan.
-	epoch uint64
-
 	Stats Stats
 }
 
@@ -65,9 +60,6 @@ func New(entries int) *Predictor {
 
 // Entries returns the table size.
 func (p *Predictor) Entries() int { return len(p.table) }
-
-// Epoch returns the mutation epoch (Train calls since construction/Reset).
-func (p *Predictor) Epoch() uint64 { return p.epoch }
 
 // history hashes the finite TID window into the prediction context.
 func (p *Predictor) history() uint64 {
@@ -99,7 +91,6 @@ func (p *Predictor) Predict() (key uint64, ok bool) {
 // and predOK must be the result of the Predict call made before this
 // segment, so mispredictions are counted against issued predictions only.
 func (p *Predictor) Train(actual uint64, predicted uint64, predOK bool) {
-	p.epoch++
 	p.Stats.Updates++
 	if predOK {
 		if predicted == actual {
@@ -141,6 +132,5 @@ func (p *Predictor) Reset() {
 		p.table[i] = entry{}
 	}
 	p.last = [2]uint64{}
-	p.epoch = 0
 	p.Stats = Stats{}
 }

@@ -83,25 +83,6 @@ func NewSelector() *Selector { return &Selector{} }
 // SetProbe attaches (or, with nil, detaches) a selection probe.
 func (s *Selector) SetProbe(p Probe) { s.probe = p }
 
-// StateFingerprint folds the selector's position — the partially built
-// segment, the pending (join-candidate) segment and the procedure-context
-// counter — into one word for the hot-window memoization fingerprint.
-// Only O(1) scalars are read, never the buffered instructions.
-func (s *Selector) StateFingerprint() uint64 {
-	h := uint64(1469598103934665603) // FNV-64 offset basis
-	pend := uint64(0)
-	if s.hasPending {
-		pend = 1 + s.pending.TID.Key() + uint64(len(s.pending.Insts))<<40
-	}
-	for _, w := range [...]uint64{
-		uint64(s.ctx), s.cur.TID.Key(), uint64(len(s.cur.Insts)),
-		pend, s.Built, s.JoinOps,
-	} {
-		h = (h ^ w) * 1099511628211
-	}
-	return h
-}
-
 // Reset returns the selector to its just-constructed state, keeping the
 // slab of recycled instruction storage (machine-pooling Reset protocol).
 func (s *Selector) Reset() {

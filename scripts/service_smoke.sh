@@ -96,7 +96,7 @@ MIN_HITS="$(awk -v c="$CELLS" 'BEGIN{printf "%d", c * 0.95}')"
   -expect "parrot_cell_requests_total{disposition=\"hit\"}>=$MIN_HITS" \
   -expect "parrot_cache_lookups_total{level=\"mem\"}>=$MIN_HITS" \
   -expect "parrot_queue_wait_seconds_count{class=\"batch\"}>=1" \
-  -expect "parrot_sim_runs_total{memo=\"exact\"}>=1" \
+  -expect "parrot_sim_runs_total>=1" \
   -expect "parrot_sched_running==0"
 
 echo "== request trace fetch (warm cell: cache-hit span taxonomy)"
@@ -124,7 +124,7 @@ for span in sched.queued machine.checkout sim.run cache.put http.request; do
   grep -q "$span" "$workdir/trace-cold.txt" \
     || { echo "cold trace missing $span span" >&2; cat "$workdir/trace-cold.txt"; exit 1; }
 done
-grep -q 'sched.submit.*disposition=\(exact\|replayed\)' "$workdir/trace-cold.txt" \
+grep -q 'sched.submit.*disposition=exact' "$workdir/trace-cold.txt" \
   || { echo "cold trace missing simulation disposition attr" >&2; cat "$workdir/trace-cold.txt"; exit 1; }
 
 echo "== closed-loop load against the warm cache"
