@@ -7,10 +7,12 @@
 //	parrotctl matrix -expect-digest <hex> -min-cached 0.95   # CI assertions
 //	parrotctl get -digest <hex>
 //	parrotctl health
-//	parrotctl metrics
 //	parrotctl top [-watch 2s] [-raw] [-expect 'series op value']...
 //	parrotctl trace -id <requestID> [-table] [-o trace.json]
 //	parrotctl cluster [-watch 2s] [-expect 'series op value']...
+//
+// "top" renders the /metricsz exposition as a dashboard; "top -raw"
+// prints every series as `name{labels} value`.
 //
 // Against a clustered parrotd, "cluster" renders the node's membership
 // view: ring layout with ownership shares, per-node health states and
@@ -56,7 +58,7 @@ func defaultServer() string {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: parrotctl <run|matrix|get|health|metrics|top|trace|cluster> [flags]")
+		return fmt.Errorf("usage: parrotctl <run|matrix|get|health|top|trace|cluster> [flags]")
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
@@ -68,8 +70,6 @@ func run(args []string) error {
 		return cmdGet(rest)
 	case "health":
 		return cmdHealth(rest)
-	case "metrics":
-		return cmdMetrics(rest)
 	case "top":
 		return cmdTop(rest)
 	case "trace":
@@ -246,19 +246,6 @@ func cmdHealth(args []string) error {
 		return err
 	}
 	return emitJSON(h)
-}
-
-func cmdMetrics(args []string) error {
-	fs, server := newFlagSet("metrics")
-	fs.Parse(args)
-	c := client.New(*server)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		return err
-	}
-	return emitJSON(m)
 }
 
 func emitJSON(v any) error {

@@ -34,10 +34,8 @@ func cmdTop(args []string) error {
 			return err
 		}
 		if *raw {
-			for _, name := range exp.Names {
-				for _, key := range exp.Family(name) {
-					fmt.Printf("%s %g\n", key, exp.Series[key])
-				}
+			for _, key := range exp.Names {
+				fmt.Printf("%s %g\n", key, exp.Series[key])
 			}
 		} else {
 			if *watch > 0 {

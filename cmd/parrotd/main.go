@@ -23,11 +23,10 @@
 // probed against /readyz, so draining or still-prewarming nodes are routed
 // around. GET /clusterz exposes the membership view.
 //
-// Operational surface: GET /metricsz serves Prometheus text exposition
-// (?format=json for the legacy body), GET /v1/trace/{requestID} replays a
-// request's span timeline as Chrome trace-event JSON, GET /v1/stats/stream
-// pushes live metric snapshots over SSE, and -pprof exposes the runtime
-// profiles. Logs are structured JSON lines on stderr, one per event, each
+// Operational surface: GET /metricsz serves every stats series as
+// Prometheus text exposition (parrotctl top renders and asserts on it),
+// GET /v1/trace/{requestID} replays a request's span timeline as Chrome
+// trace-event JSON, and -pprof exposes the runtime profiles. Logs are structured JSON lines on stderr, one per event, each
 // carrying the request ID when request-scoped.
 //
 // SIGINT/SIGTERM drains gracefully: /healthz reports draining, queued and

@@ -14,6 +14,7 @@ import (
 	"parrot/internal/config"
 	"parrot/internal/core"
 	"parrot/internal/experiments"
+	"parrot/internal/serve/client"
 	"parrot/internal/serve/proto"
 	"parrot/internal/telemetry"
 	"parrot/internal/workload"
@@ -170,10 +171,10 @@ func TestHedgeCancelReleasesLoser(t *testing.T) {
 		VNodes: 16,
 	})
 	c := NewClient(reg, ClientConfig{
-		MaxAttempts: 2,
-		HedgeMin:    time.Millisecond,
-		HedgeMax:    25 * time.Millisecond, // sparse samples hedge at the max
-		Registry:    telemetry.NewRegistry(),
+		Retry:    client.RetryPolicy{MaxAttempts: 2},
+		HedgeMin: time.Millisecond,
+		HedgeMax: 25 * time.Millisecond, // sparse samples hedge at the max
+		Registry: telemetry.NewRegistry(),
 	})
 
 	// Find a digest the slow peer owns, so the hedge target is the fast one.

@@ -28,12 +28,9 @@ var ErrRouteLocal = errors.New("cluster: route is local")
 
 // ClientConfig parameterizes the routing client.
 type ClientConfig struct {
-	// MaxAttempts bounds routed attempts per cell across nodes (<=0 = 4).
-	MaxAttempts int
-	// BaseBackoff/MaxBackoff shape the exponential retry backoff
-	// (<=0 = 25ms / 1s); each delay is jittered ±50%.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
+	// Retry bounds routed attempts per cell across nodes and shapes the
+	// backoff between them (zero fields = 4 attempts, 25ms / 1s).
+	Retry client.RetryPolicy
 	// HedgeMin/HedgeMax clamp the hedged-request delay derived from the
 	// target node's observed p99 (<=0 = 20ms / 2s). HedgeMin also serves
 	// as the delay floor while too few samples exist.
@@ -81,15 +78,9 @@ type Client struct {
 
 // NewClient builds the routing client over a membership registry.
 func NewClient(reg *Registry, cfg ClientConfig) *Client {
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = 25 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = time.Second
-	}
+	cfg.Retry = cfg.Retry.Or(client.RetryPolicy{
+		MaxAttempts: 4, BaseBackoff: 25 * time.Millisecond, MaxBackoff: time.Second,
+	})
 	if cfg.HedgeMin <= 0 {
 		cfg.HedgeMin = 20 * time.Millisecond
 	}
@@ -217,7 +208,8 @@ func (c *Client) RunRemote(ctx context.Context, req proto.RunRequest, digest str
 		prevEpoch uint64
 		havePrev  bool
 	)
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	maxAttempts := c.cfg.Retry.MaxAttempts
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, info, err
 		}
@@ -256,18 +248,23 @@ func (c *Client) RunRemote(ctx context.Context, req proto.RunRequest, digest str
 		// stuck on a slow or partitioned node cannot eat the whole deadline
 		// — the cut-off attempt fails over to a successor with its own
 		// slice. The serve client re-stamps X-Parrot-Deadline from this
-		// carved ctx, so the peer sees the slice, not the full budget.
-		actx := ctx
+		// carved ctx, so the peer sees the slice, not the full budget. The
+		// slice is released as soon as its attempt ends.
+		var (
+			actx    context.Context
+			acancel context.CancelFunc
+		)
 		if d, ok := ctx.Deadline(); ok {
-			slice := time.Until(d) / time.Duration(c.cfg.MaxAttempts-attempt)
+			slice := time.Until(d) / time.Duration(maxAttempts-attempt)
 			if slice < 10*time.Millisecond {
 				slice = 10 * time.Millisecond
 			}
-			var acancel context.CancelFunc
 			actx, acancel = context.WithTimeout(ctx, slice)
-			defer acancel()
+		} else {
+			actx, acancel = context.WithCancel(ctx)
 		}
 		resp, node, hedged, hedgeWon, err := c.runHedged(actx, ring, digest, target, req)
+		acancel()
 		if hedged {
 			info.Hedged = true
 		}
@@ -280,12 +277,12 @@ func (c *Client) RunRemote(ctx context.Context, req proto.RunRequest, digest str
 			return resp, info, nil
 		}
 		lastErr = err
-		if !sleepCtx(ctx, c.backoff(attempt)) {
+		if attempt+1 < maxAttempts && !client.Sleep(ctx, c.cfg.Retry.Backoff(attempt)) {
 			return nil, info, ctx.Err()
 		}
 	}
 	return nil, info, fmt.Errorf("cluster: cell %.12s… failed after %d attempts: %w",
-		digest, c.cfg.MaxAttempts, lastErr)
+		digest, maxAttempts, lastErr)
 }
 
 // pick chooses the attempt-th eligible target in ring order for a digest.
@@ -402,7 +399,7 @@ func (c *Client) runHedged(ctx context.Context, ring *Ring, digest, target strin
 		if e == nil {
 			c.lat(n).record(el)
 			c.reg.ReportSuccess(n)
-		} else if cctx.Err() == nil && isTransportErr(e) {
+		} else if cctx.Err() == nil && client.IsTransportErr(e) {
 			// Hard connect errors are passive death evidence; HTTP-level
 			// errors (4xx/5xx bodies) are not.
 			c.reg.ReportFailure(n, e)
@@ -460,44 +457,11 @@ func (c *Client) runHedged(ctx context.Context, ring *Ring, digest, target strin
 	return nil, "", hedged, false, firstErr
 }
 
-// backoff returns the jittered exponential delay before attempt+1.
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.cfg.BaseBackoff << uint(attempt)
-	if d > c.cfg.MaxBackoff {
-		d = c.cfg.MaxBackoff
-	}
-	// ±50% jitter, deterministic-free: scheduling noise is the point.
-	return d/2 + time.Duration(int64(keyHash(fmt.Sprintf("%d-%d", time.Now().UnixNano(), attempt)))%int64(d+1))/2
-}
-
-// sleepCtx sleeps unless the context ends first; reports whether the full
-// sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 func errStr(err error) string {
 	if err == nil {
 		return ""
 	}
 	return err.Error()
-}
-
-// isTransportErr reports whether an error is a transport-level failure
-// (dial refused, reset, timeout) rather than an HTTP-level response.
-func isTransportErr(err error) bool {
-	return err != nil && !errors.Is(err, context.Canceled) &&
-		!errors.Is(err, context.DeadlineExceeded) && client.IsTransportErr(err)
 }
 
 // latWindow is a small sliding window of request latencies; p99 over 128

@@ -9,6 +9,7 @@ import (
 
 	"parrot/internal/isa"
 	"parrot/internal/metrics"
+	"parrot/internal/telemetry"
 )
 
 // ---------------------------------------------------------------------------
@@ -99,24 +100,6 @@ func (r *Recorder) WriteSeriesCSV(w io.Writer) error {
 // Pipeline visualization: Chrome trace events
 // ---------------------------------------------------------------------------
 
-// chromeEvent is one Chrome-trace-event record ("X" complete events; ts/dur
-// are simulated cycles expressed in the format's microsecond field).
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   uint64         `json:"ts"`
-	Dur  uint64         `json:"dur"`
-	Pid  uint8          `json:"pid"`
-	Tid  uint64         `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeDoc struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
 // chromeRows spreads uops across this many display rows per lane.
 const chromeRows = 64
 
@@ -124,9 +107,10 @@ const chromeRows = 64
 // trace-event format (load in chrome://tracing or Perfetto). Each fully
 // retired uop contributes three spans — dispatch→issue (wait), issue→
 // complete (exec), complete→commit (retire) — on pid = lane, tid = a
-// round-robin display row.
+// round-robin display row. Cycles fill the format's microsecond fields;
+// the encoding is telemetry.ChromeDoc, shared with request traces.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	doc := chromeDoc{DisplayTimeUnit: "ns", TraceEvents: []chromeEvent{}}
+	doc := telemetry.ChromeDoc{DisplayTimeUnit: "ns"}
 	for lane := 0; lane < 2; lane++ {
 		p := r.Lanes[lane]
 		if p == nil {
@@ -137,7 +121,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 				return
 			}
 			name := isa.ExecClass(u.Class).String()
-			row := u.Seq % chromeRows
+			row := int(u.Seq % chromeRows)
 			args := map[string]any{"seq": u.Seq}
 			if u.TraceEnd {
 				args["traceEnd"] = true
@@ -146,9 +130,9 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 				if to < from {
 					to = from
 				}
-				doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-					Name: name, Cat: cat, Ph: "X", Ts: from, Dur: to - from,
-					Pid: p.Lane, Tid: row, Args: args,
+				doc.TraceEvents = append(doc.TraceEvents, telemetry.ChromeEvent{
+					Name: name, Cat: cat, Ph: "X", Ts: int64(from), Dur: int64(to - from),
+					Pid: int(p.Lane), Tid: row, Args: args,
 				})
 			}
 			add("wait", u.Dispatch, u.Issue)
@@ -156,8 +140,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			add("retire", u.Complete, u.Commit)
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&doc)
+	return doc.Write(w)
 }
 
 // ---------------------------------------------------------------------------

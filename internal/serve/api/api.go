@@ -4,9 +4,10 @@
 //	POST /v1/matrix           model × application fan-out with SSE progress
 //	GET  /v1/results/{digest} cache-only lookup by content address
 //	GET  /v1/trace/{id}       request span timeline (Chrome trace-event JSON)
-//	GET  /v1/stats/stream     live metric snapshots (SSE)
 //	GET  /healthz             liveness + drain state
-//	GET  /metricsz            Prometheus text exposition (?format=json legacy)
+//	GET  /readyz              routing readiness (prewarm, drain)
+//	GET  /clusterz            membership and ring view
+//	GET  /metricsz            Prometheus text exposition, the only stats encoding
 //	GET  /debug/pprof/…       runtime profiles (behind Config.EnablePprof)
 //
 // The server is a thin adapter: request bodies resolve to canonical
@@ -56,8 +57,8 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxMatrixTimeout bounds matrix requests (0 = 10min).
 	MaxMatrixTimeout time.Duration
-	// Registry backs /metricsz and /v1/stats/stream (nil = a private one;
-	// pass the same registry to sched.New so its series appear too).
+	// Registry backs /metricsz (nil = a private one; pass the same
+	// registry to sched.New so its series appear too).
 	Registry *telemetry.Registry
 	// Log receives structured request logs (nil = silent).
 	Log *tlog.Logger
@@ -65,8 +66,6 @@ type Config struct {
 	TraceBuf int
 	// EnablePprof exposes net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// StatsInterval paces /v1/stats/stream snapshots (0 = 1s).
-	StatsInterval time.Duration
 	// Cluster enables multi-node routing: /v1/run forwards non-owned
 	// digests to their ring owner, /v1/matrix scatters cells across the
 	// ring, and /clusterz exposes membership (nil = single-node).
@@ -107,9 +106,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
-	}
-	if cfg.StatsInterval <= 0 {
-		cfg.StatsInterval = time.Second
 	}
 	if cfg.NodeID == "" && cfg.Cluster != nil {
 		cfg.NodeID = cfg.Cluster.Self()
@@ -171,7 +167,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/matrix", s.handleMatrix)
 	s.mux.HandleFunc("GET /v1/results/{digest}", s.handleResult)
 	s.mux.HandleFunc("GET /v1/trace/{id}", s.handleTrace)
-	s.mux.HandleFunc("GET /v1/stats/stream", s.handleStatsStream)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /clusterz", s.handleClusterz)
@@ -203,8 +198,6 @@ func routeLabel(r *http.Request) string {
 		return "result"
 	case strings.HasPrefix(p, "/v1/trace/"):
 		return "trace"
-	case p == "/v1/stats/stream":
-		return "stats_stream"
 	case p == "/healthz":
 		return "healthz"
 	case p == "/readyz":
@@ -221,7 +214,7 @@ func routeLabel(r *http.Request) string {
 }
 
 // statusWriter captures the response code while preserving http.Flusher —
-// the matrix SSE stream (and /v1/stats/stream) flush through it.
+// the matrix SSE stream flushes through it.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -259,8 +252,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 
 		traced := route != "metricsz" && route != "healthz" &&
-			route != "readyz" && route != "clusterz" &&
-			route != "stats_stream" && route != "pprof"
+			route != "readyz" && route != "clusterz" && route != "pprof"
 		reqID := r.Header.Get(RequestIDHeader)
 		if reqID == "" {
 			reqID = telemetry.NewRequestID()
@@ -692,106 +684,9 @@ func (s *Server) handleClusterz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetricsz renders the registry in Prometheus text exposition format
-// (0.0.4). The pre-telemetry JSON body survives under ?format=json for
-// existing dashboards and the client library.
+// (0.0.4).
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		s.metricszJSON(w)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_ = s.reg.WritePrometheus(w)
-}
-
-func (s *Server) metricszJSON(w http.ResponseWriter) {
-	var m proto.Metrics
-	if s.cfg.Cache != nil {
-		cs := s.cfg.Cache.Stats()
-		m.Cache = proto.CacheMetrics{
-			Hits: cs.Hits, Misses: cs.Misses,
-			MemHits: cs.MemHits, DiskHits: cs.DiskHits,
-			Puts: cs.Puts, Evictions: cs.Evictions, DiskErrors: cs.DiskErrors,
-			Entries: cs.Entries, Bytes: cs.Bytes, Budget: cs.Budget,
-			HitRate:        cs.HitRate(),
-			EntryBytesMean: cs.EntryBytesMean,
-		}
-	}
-	ss := s.cfg.Sched.Stats()
-	m.Sched = proto.SchedMetrics{
-		Workers:          ss.Workers,
-		Running:          ss.Running,
-		InteractiveDepth: ss.InteractiveDepth,
-		BatchDepth:       ss.BatchDepth,
-		Completed:        ss.Completed,
-		Deduped:          ss.Deduped,
-		Rejected:         ss.Rejected,
-		Abandoned:        ss.Abandoned,
-		CacheHits:        ss.CacheHits,
-		SimInsts:         ss.SimInsts,
-		BusyUs:           ss.BusyTime.Microseconds(),
-		SimMIPS:          ss.SimMIPS(),
-		ShedInteractive:  ss.ShedInteractive,
-		ShedBatch:        ss.ShedBatch,
-		DeadlineRejected: ss.DeadlineRejected,
-		DeadlineEvicted:  ss.DeadlineEvicted,
-		AdmitLimit:       ss.AdmitLimit,
-	}
-	if up := time.Since(s.start); up > 0 && ss.Workers > 0 {
-		m.Sched.Utilization = ss.BusyTime.Seconds() / (up.Seconds() * float64(ss.Workers))
-	}
-	ps := s.cfg.Sched.Pool().Stats()
-	m.Pool = proto.PoolMetrics{
-		Gets: ps.Gets, Reuses: ps.Reuses, Puts: ps.Puts, Discards: ps.Discards,
-		Size: s.cfg.Sched.Pool().Size(),
-	}
-	writeJSON(w, http.StatusOK, m)
-}
-
-// handleStatsStream pushes periodic flat registry snapshots as SSE "stats"
-// events until the client disconnects — a live top-style feed without
-// polling /metricsz.
-func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, "streaming unsupported by connection")
-		return
-	}
-	interval := s.cfg.StatsInterval
-	if ms := r.URL.Query().Get("interval_ms"); ms != "" {
-		if d, err := time.ParseDuration(ms + "ms"); err == nil && d >= 100*time.Millisecond {
-			interval = d
-		}
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	emit := func() bool {
-		b, err := json.Marshal(s.reg.Flat())
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: stats\ndata: %s\n\n", b); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-	if !emit() {
-		return
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-ticker.C:
-			if !emit() {
-				return
-			}
-		}
-	}
 }

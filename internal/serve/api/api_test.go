@@ -185,18 +185,21 @@ func TestHealthzAndMetricsz(t *testing.T) {
 	if _, err := cl.Run(ctx, proto.RunRequest{Model: "N", App: "gzip", Insts: 5000}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := cl.Metrics(ctx)
+	exp, err := cl.MetricsText(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Sched.Completed != 1 || m.Sched.CacheHits != 1 {
-		t.Fatalf("sched metrics = %+v, want 1 completed / 1 cacheHit", m.Sched)
+	get := func(key string) float64 { v, _ := exp.Get(key); return v }
+	if get("parrot_sched_completed_total") != 1 || get(`parrot_sched_outcomes_total{outcome="cache_hit"}`) != 1 {
+		t.Fatalf("sched series: completed %g, cache hits %g; want 1 / 1",
+			get("parrot_sched_completed_total"), get(`parrot_sched_outcomes_total{outcome="cache_hit"}`))
 	}
-	if m.Cache.Puts != 1 || m.Cache.Hits != 1 {
-		t.Fatalf("cache metrics = %+v, want 1 put / 1 hit", m.Cache)
+	hits := get(`parrot_cache_lookups_total{level="mem"}`) + get(`parrot_cache_lookups_total{level="disk"}`)
+	if get("parrot_cache_puts_total") != 1 || hits != 1 {
+		t.Fatalf("cache series: puts %g, hits %g; want 1 / 1", get("parrot_cache_puts_total"), hits)
 	}
-	if m.Sched.SimMIPS <= 0 {
-		t.Fatalf("SimMIPS = %g, want > 0", m.Sched.SimMIPS)
+	if v := get("parrot_sched_sim_mips"); v <= 0 {
+		t.Fatalf("parrot_sched_sim_mips = %g, want > 0", v)
 	}
 
 	// Drain is reflected in /healthz.

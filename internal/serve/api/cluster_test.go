@@ -66,11 +66,11 @@ func testCluster(t *testing.T, n int) []*clusterNode {
 			Peers:     urls,
 			VNodes:    32,
 			Registry:  reg,
-			Client: cluster.ClientConfig{
+			Client: cluster.ClientConfig{Retry: client.RetryPolicy{
 				MaxAttempts: 3,
 				BaseBackoff: time.Millisecond,
 				MaxBackoff:  5 * time.Millisecond,
-			},
+			}},
 		})
 		srv := New(Config{Cache: ca, Sched: sc, Registry: reg, Cluster: cl})
 		hs := &httptest.Server{Listener: lns[i], Config: &http.Server{Handler: srv.Handler()}}

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -9,7 +8,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"parrot/internal/config"
 	"parrot/internal/core"
@@ -93,14 +91,8 @@ func TestMetricszPrometheus(t *testing.T) {
 	if get("parrot_request_seconds_count{route=\"run\"}") != 2 {
 		t.Fatal("request latency histogram did not record both requests")
 	}
-
-	// The legacy JSON body survives under ?format=json.
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Sched.Completed != 1 || m.Sched.CacheHits != 1 {
-		t.Fatalf("legacy JSON metrics = %+v", m.Sched)
+	if get("parrot_sched_completed_total") != 1 || get(`parrot_sched_outcomes_total{outcome="cache_hit"}`) != 1 {
+		t.Fatal("sched series inconsistent with one exact run and one hit")
 	}
 }
 
@@ -255,55 +247,93 @@ func names(spans []telemetry.Span) []string {
 	return out
 }
 
-// TestStatsStreamSSE reads the first snapshot off /v1/stats/stream and
-// checks it is a flat series map carrying live values.
-func TestStatsStreamSSE(t *testing.T) {
+// TestMetricszCoversEveryStat pins that /metricsz is a complete stats
+// encoding: after a run and a cache hit, every cache, scheduler and pool
+// statistic the service tracks has a series, and the derived figures
+// (hit count, mean entry size, fleet utilization) follow from the scrape.
+func TestMetricszCoversEveryStat(t *testing.T) {
 	cl, _, _ := testServer(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	if _, err := cl.Run(ctx, proto.RunRequest{Model: "N", App: "gzip", Insts: 5000}); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		if _, err := cl.Run(ctx, proto.RunRequest{Model: "N", App: "gzip", Insts: 5000}); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet,
-		cl.Base()+"/v1/stats/stream?interval_ms=100", nil)
-	resp, err := http.DefaultClient.Do(req)
+	exp, err := cl.MetricsText(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type = %q", ct)
-	}
+	// stat -> the series that carries it.
+	series := map[string]string{
+		"cache.memHits":    `parrot_cache_lookups_total{level="mem"}`,
+		"cache.diskHits":   `parrot_cache_lookups_total{level="disk"}`,
+		"cache.misses":     `parrot_cache_lookups_total{level="miss"}`,
+		"cache.puts":       "parrot_cache_puts_total",
+		"cache.evictions":  "parrot_cache_evictions_total",
+		"cache.diskErrors": "parrot_cache_disk_errors_total",
+		"cache.entries":    "parrot_cache_entries",
+		"cache.bytes":      "parrot_cache_bytes",
+		"cache.budget":     "parrot_cache_budget_bytes",
+		"cache.hitRate":    "parrot_cache_hit_rate",
+		"cache.entryMean":  "parrot_cache_entry_bytes_mean",
 
-	sc := bufio.NewScanner(resp.Body)
-	var data string
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "data: ") {
-			data = strings.TrimPrefix(line, "data: ")
-			break
+		"sched.workers":          "parrot_sched_workers",
+		"sched.running":          "parrot_sched_running",
+		"sched.interactiveDepth": `parrot_queue_depth{class="interactive"}`,
+		"sched.batchDepth":       `parrot_queue_depth{class="batch"}`,
+		"sched.completed":        "parrot_sched_completed_total",
+		"sched.deduped":          `parrot_sched_outcomes_total{outcome="deduped"}`,
+		"sched.rejected":         `parrot_sched_outcomes_total{outcome="rejected"}`,
+		"sched.abandoned":        "parrot_sched_abandoned_total",
+		"sched.cacheHits":        `parrot_sched_outcomes_total{outcome="cache_hit"}`,
+		"sched.simInsts":         "parrot_sim_insts_total",
+		"sched.busy":             "parrot_sched_busy_seconds_total",
+		"sched.simMIPS":          "parrot_sched_sim_mips",
+		"sched.shedInteractive":  `parrot_shed_total{class="interactive"}`,
+		"sched.shedBatch":        `parrot_shed_total{class="batch"}`,
+		"sched.deadlineRejected": "parrot_deadline_rejected_total",
+		"sched.deadlineEvicted":  "parrot_deadline_evicted_total",
+		"sched.admitLimit":       "parrot_admit_limit",
+		"sched.uptime":           "parrot_uptime_seconds",
+
+		"pool.gets":     "parrot_pool_gets_total",
+		"pool.reuses":   "parrot_pool_reuses_total",
+		"pool.puts":     "parrot_pool_puts_total",
+		"pool.discards": "parrot_pool_discards_total",
+		"pool.size":     "parrot_pool_size",
+	}
+	val := map[string]float64{}
+	for stat, key := range series {
+		v, ok := exp.Get(key)
+		if !ok {
+			t.Errorf("%s: series %s absent from /metricsz", stat, key)
 		}
+		val[stat] = v
 	}
-	if data == "" {
-		t.Fatalf("no stats event received: %v", sc.Err())
+	if t.Failed() {
+		t.FailNow()
 	}
-	var flat map[string]float64
-	if err := json.Unmarshal([]byte(data), &flat); err != nil {
-		t.Fatalf("stats event is not a flat series map: %v", err)
+	if hits := val["cache.memHits"] + val["cache.diskHits"]; hits != 1 || val["cache.puts"] != 1 {
+		t.Fatalf("cache hits %g, puts %g; want 1 / 1", hits, val["cache.puts"])
 	}
-	if flat["parrot_sched_completed_total"] != 1 {
-		t.Fatalf("streamed completed = %g, want 1", flat["parrot_sched_completed_total"])
+	if val["cache.entryMean"] <= 0 || val["cache.entryMean"] != val["cache.bytes"] {
+		t.Fatalf("entry mean %g, want the one owned entry's %g bytes", val["cache.entryMean"], val["cache.bytes"])
 	}
-	if _, ok := flat["parrot_uptime_seconds"]; !ok {
-		t.Fatal("stream snapshot missing uptime")
+	if val["sched.completed"] != 1 || val["sched.cacheHits"] != 1 || val["sched.simInsts"] <= 0 {
+		t.Fatalf("sched: completed %g, cache hits %g, insts %g", val["sched.completed"], val["sched.cacheHits"], val["sched.simInsts"])
+	}
+	util := val["sched.busy"] / (val["sched.workers"] * val["sched.uptime"])
+	if !(util > 0 && util <= 1) {
+		t.Fatalf("utilization from busy/(workers*uptime) = %g, want in (0, 1]", util)
+	}
+	if val["pool.gets"] < 1 {
+		t.Fatal("pool saw no checkouts")
 	}
 }
 
 // TestTelemetryPreservesResults is the PR's bit-exactness pin: a server
-// with every telemetry feature enabled (registry, tracing, logging, stats
-// streaming) must produce matrices byte-identical to an in-process
+// with every telemetry feature enabled (registry, tracing, logging, pprof)
+// must produce matrices byte-identical to an in-process
 // experiments.Run — observability cannot perturb simulation.
 func TestTelemetryPreservesResults(t *testing.T) {
 	c, err := cache.New(cache.Config{MemBudget: 64 << 20})

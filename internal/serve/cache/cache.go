@@ -30,7 +30,6 @@ import (
 	"parrot/internal/chaos"
 	"parrot/internal/core"
 	"parrot/internal/experiments"
-	"parrot/internal/metrics"
 	"parrot/internal/telemetry"
 	tlog "parrot/internal/telemetry/log"
 )
@@ -150,9 +149,10 @@ type Cache struct {
 	// the bytes, and a family whose member was evicted simply misses.
 	families map[string]string
 
-	// occupancy histograms encoded entry sizes over all owned insertions —
-	// the byte-budget sizing signal surfaced on /metricsz.
-	occupancy *metrics.Histogram
+	// ownedBytes/ownedPuts sum and count encoded entry sizes over all owned
+	// insertions; their mean sizes replicas and is the byte-budget sizing
+	// signal surfaced on /metricsz.
+	ownedBytes, ownedPuts int64
 
 	stats Stats
 }
@@ -170,10 +170,6 @@ func New(cfg Config) (*Cache, error) {
 		families: make(map[string]string),
 		dir:      cfg.Dir,
 		chaos:    cfg.Chaos,
-		// Entry-size buckets: cells encode to a few KiB; 1 KiB steps up to
-		// 16 KiB cover the realistic range, the overflow bucket catches the
-		// rest.
-		occupancy: metrics.NewHistogram(metrics.LinearBuckets(1<<10, 16)...),
 	}
 	if cfg.Dir != "" {
 		if err := c.initDir(); err != nil {
@@ -312,7 +308,7 @@ func (c *Cache) PutReplica(digest, resDigest string, res *core.Result) {
 	if _, ok := c.entries[digest]; ok {
 		return
 	}
-	size := int64(c.occupancy.Mean())
+	size := int64(c.entryBytesMeanLocked())
 	if size <= 0 {
 		size = int64(unsafe.Sizeof(*res))
 	}
@@ -372,7 +368,8 @@ func (c *Cache) insertLocked(e *entry) {
 	if e.replica {
 		c.nReplica++
 	} else {
-		c.occupancy.Add(int(e.size))
+		c.ownedBytes += e.size
+		c.ownedPuts++
 	}
 	c.listOf(e).pushFront(e)
 	for c.bytes > c.budget {
@@ -423,8 +420,17 @@ func (c *Cache) Stats() Stats {
 	s.Replicas = c.nReplica
 	s.Bytes = c.bytes
 	s.Budget = c.budget
-	s.EntryBytesMean = c.occupancy.Mean()
+	s.EntryBytesMean = c.entryBytesMeanLocked()
 	return s
+}
+
+// entryBytesMeanLocked is the mean encoded size of owned insertions (0
+// before the first). Caller holds c.mu.
+func (c *Cache) entryBytesMeanLocked() float64 {
+	if c.ownedPuts == 0 {
+		return 0
+	}
+	return float64(c.ownedBytes) / float64(c.ownedPuts)
 }
 
 // Register wires the cache into a telemetry registry as a scrape-time
@@ -452,6 +458,7 @@ func (c *Cache) Register(reg *telemetry.Registry) {
 		emit("parrot_cache_bytes", "gauge", "Resident in-memory payload bytes.", float64(st.Bytes))
 		emit("parrot_cache_budget_bytes", "gauge", "In-memory byte budget.", float64(st.Budget))
 		emit("parrot_cache_hit_rate", "gauge", "Hits per lookup.", st.HitRate())
+		emit("parrot_cache_entry_bytes_mean", "gauge", "Mean encoded size of owned insertions.", st.EntryBytesMean)
 	})
 }
 

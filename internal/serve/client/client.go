@@ -18,7 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/url"
@@ -32,10 +32,12 @@ import (
 	"parrot/internal/telemetry"
 )
 
-// RetryPolicy bounds the client's transport-level retries. Run requests
-// are idempotent by content address (the same RunSpec digest returns the
-// same result, usually straight from cache on the retry), so retrying a
-// POST /v1/run after a connection reset or a 5xx is safe.
+// RetryPolicy is the one retry ladder of the serving stack: this client's
+// transport retries and the cluster router's cross-node attempts both run
+// on it. Run requests are idempotent by content address (the same RunSpec
+// digest returns the same result, usually straight from cache on the
+// retry), so retrying a POST /v1/run after a connection reset or a 5xx is
+// safe.
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget (<=0 = 3; 1 disables retry).
 	MaxAttempts int
@@ -45,17 +47,48 @@ type RetryPolicy struct {
 	MaxBackoff  time.Duration
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
+// Or fills every non-positive field of p from def.
+func (p RetryPolicy) Or(def RetryPolicy) RetryPolicy {
 	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
+		p.MaxAttempts = def.MaxAttempts
 	}
 	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 50 * time.Millisecond
+		p.BaseBackoff = def.BaseBackoff
 	}
 	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = time.Second
+		p.MaxBackoff = def.MaxBackoff
 	}
 	return p
+}
+
+func (p RetryPolicy) withDefaults() RetryPolicy {
+	return p.Or(RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond, MaxBackoff: time.Second})
+}
+
+// Backoff returns the jittered delay before attempt+1: uniform in
+// [d/2, d], where d = min(BaseBackoff<<attempt, MaxBackoff).
+func (p RetryPolicy) Backoff(attempt int) time.Duration {
+	d := p.MaxBackoff
+	if shift := uint(attempt); shift < 63 && p.BaseBackoff <= p.MaxBackoff>>shift {
+		d = p.BaseBackoff << shift
+	}
+	return d/2 + rand.N(d-d/2+1)
+}
+
+// Sleep waits d unless ctx ends first; it reports whether the full wait
+// elapsed.
+func Sleep(ctx context.Context, d time.Duration) bool {
+	if d <= 0 {
+		return ctx.Err() == nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // Option customizes a Client.
@@ -116,9 +149,10 @@ func (c *Client) Base() string { return c.base }
 
 // IsTransportErr reports whether an error from this client is a
 // transport-level failure (dial refused, reset, timeout) as opposed to an
-// HTTP-level response the server actually produced.
+// HTTP-level response the server actually produced or the caller's own
+// context ending.
 func IsTransportErr(err error) bool {
-	if err == nil {
+	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
 	var ue *url.Error
@@ -164,17 +198,7 @@ func retryable(err error) bool {
 		return he.Status >= 500 ||
 			(he.Status == http.StatusTooManyRequests && he.RetryAfter > 0)
 	}
-	return IsTransportErr(err) && !errors.Is(err, context.Canceled) &&
-		!errors.Is(err, context.DeadlineExceeded)
-}
-
-// backoffDelay returns the jittered exponential delay before attempt+1.
-func (p RetryPolicy) backoffDelay(attempt int) time.Duration {
-	d := p.BaseBackoff << uint(attempt)
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d)+1))/2
+	return IsTransportErr(err)
 }
 
 // do issues one request built by build, retrying per the policy. It
@@ -192,21 +216,16 @@ func (c *Client) do(ctx context.Context, build func() (*http.Request, error)) (*
 	var lastErr error
 	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			wait := c.retry.backoffDelay(attempt - 1)
+			wait := c.retry.Backoff(attempt - 1)
 			if he, ok := AsHTTPError(lastErr); ok && he.RetryAfter > 0 {
 				wait = he.RetryAfter
 			}
 			if d, ok := ctx.Deadline(); ok && time.Until(d) < wait {
 				return nil, attempt, lastErr
 			}
-			t := time.NewTimer(wait)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
+			if !Sleep(ctx, wait) {
 				return nil, attempt, lastErr
 			}
-			t.Stop()
 		}
 		req, err := build()
 		if err != nil {
@@ -415,17 +434,9 @@ func (c *Client) Cluster(ctx context.Context) (*proto.ClusterStatus, error) {
 	return &out, nil
 }
 
-// Metrics fetches the legacy JSON metrics body (/metricsz?format=json).
-func (c *Client) Metrics(ctx context.Context) (*proto.Metrics, error) {
-	var out proto.Metrics
-	if err := c.getJSON(ctx, "/metricsz?format=json", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // MetricsText fetches the Prometheus text exposition from /metricsz,
-// parsed into series. parrotctl's top/expect views consume this.
+// parsed into series — the service's one stats encoding. parrotctl's
+// top/cluster/expect views consume this.
 func (c *Client) MetricsText(ctx context.Context) (*telemetry.Exposition, error) {
 	resp, _, err := c.do(ctx, func() (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metricsz", nil)

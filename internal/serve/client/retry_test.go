@@ -190,3 +190,35 @@ func TestCorruptResultRejected(t *testing.T) {
 		t.Fatal("client accepted a result that does not reproduce its digest")
 	}
 }
+
+// TestBackoffWithinJitterBounds draws many delays per attempt from both
+// ladders in use (this client's defaults and the cluster router's) and
+// requires every one to fall in [d/2, d], d = min(base<<attempt, max).
+// The spread must also reach both halves of the window: jitter, not a
+// constant.
+func TestBackoffWithinJitterBounds(t *testing.T) {
+	const draws = 10_000
+	for _, p := range []RetryPolicy{
+		RetryPolicy{}.withDefaults(),
+		{MaxAttempts: 4, BaseBackoff: 25 * time.Millisecond, MaxBackoff: time.Second},
+	} {
+		for attempt := 0; attempt <= 6; attempt++ {
+			d := min(p.BaseBackoff<<attempt, p.MaxBackoff)
+			lo, hi := time.Duration(1<<62), time.Duration(0)
+			for i := 0; i < draws; i++ {
+				got := p.Backoff(attempt)
+				if got < d/2 || got > d {
+					t.Fatalf("%+v attempt %d: delay %v outside [%v, %v]", p, attempt, got, d/2, d)
+				}
+				lo, hi = min(lo, got), max(hi, got)
+			}
+			if lo > d/2+d/8 || hi < d-d/8 {
+				t.Fatalf("%+v attempt %d: %d draws spanned only [%v, %v] of [%v, %v]", p, attempt, draws, lo, hi, d/2, d)
+			}
+		}
+		// A shift past the duration range saturates at the cap.
+		if got := p.Backoff(200); got < p.MaxBackoff/2 || got > p.MaxBackoff {
+			t.Fatalf("%+v attempt 200: delay %v outside [%v, %v]", p, got, p.MaxBackoff/2, p.MaxBackoff)
+		}
+	}
+}

@@ -226,60 +226,3 @@ type ClusterStatus struct {
 	Members []string      `json:"members"`
 	Nodes   []ClusterNode `json:"nodes"`
 }
-
-// CacheMetrics exposes result-cache counters.
-type CacheMetrics struct {
-	Hits       uint64  `json:"hits"`
-	Misses     uint64  `json:"misses"`
-	MemHits    uint64  `json:"memHits"`
-	DiskHits   uint64  `json:"diskHits"`
-	Puts       uint64  `json:"puts"`
-	Evictions  uint64  `json:"evictions"`
-	DiskErrors uint64  `json:"diskErrors"`
-	Entries    int     `json:"entries"`
-	Bytes      int64   `json:"bytes"`
-	Budget     int64   `json:"budgetBytes"`
-	HitRate    float64 `json:"hitRate"` // hits / (hits+misses)
-	// EntryBytesMean is the mean encoded entry size over all insertions
-	// (from the cache's occupancy histogram).
-	EntryBytesMean float64 `json:"entryBytesMean"`
-}
-
-// SchedMetrics exposes scheduler/worker-fleet counters.
-type SchedMetrics struct {
-	Workers          int     `json:"workers"`
-	Running          int     `json:"running"`
-	InteractiveDepth int     `json:"interactiveQueueDepth"`
-	BatchDepth       int     `json:"batchQueueDepth"`
-	Completed        uint64  `json:"completed"`
-	Deduped          uint64  `json:"deduped"`
-	Rejected         uint64  `json:"rejected"`
-	Abandoned        uint64  `json:"abandoned"`
-	CacheHits        uint64  `json:"cacheHits"`
-	SimInsts         uint64  `json:"simInsts"`
-	BusyUs           int64   `json:"busyUs"`
-	SimMIPS          float64 `json:"simMIPS"`     // simulated Minsts per busy second
-	Utilization      float64 `json:"utilization"` // busy time / (workers × uptime)
-	// Overload-resilience counters (see DESIGN.md §13).
-	ShedInteractive  uint64  `json:"shedInteractive"`
-	ShedBatch        uint64  `json:"shedBatch"`
-	DeadlineRejected uint64  `json:"deadlineRejected"`
-	DeadlineEvicted  uint64  `json:"deadlineEvicted"`
-	AdmitLimit       float64 `json:"admitLimit"`
-}
-
-// PoolMetrics exposes machine-pool counters.
-type PoolMetrics struct {
-	Gets     uint64 `json:"gets"`
-	Reuses   uint64 `json:"reuses"`
-	Puts     uint64 `json:"puts"`
-	Discards uint64 `json:"discards"`
-	Size     int    `json:"size"`
-}
-
-// Metrics is the /metricsz body.
-type Metrics struct {
-	Cache CacheMetrics `json:"cache"`
-	Sched SchedMetrics `json:"sched"`
-	Pool  PoolMetrics  `json:"pool"`
-}

@@ -511,18 +511,3 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// Flat returns every rendered series as a name{labels} → value map — the
-// payload of the live stats stream and the input to CLI table renderers.
-func (r *Registry) Flat() map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]float64)
-	for _, f := range r.gather() {
-		for _, l := range f.lines {
-			out[l.name+l.labels] = l.value
-		}
-	}
-	return out
-}

@@ -99,11 +99,6 @@ func TestExpositionParsesBack(t *testing.T) {
 	if q, ok := exp.HistQuantile("lat_seconds", "", 0.5); !ok || q <= 0.01 || q > 0.1 {
 		t.Fatalf("p50 = %v, %v (want in (0.01, 0.1])", q, ok)
 	}
-	// Flat view matches the parsed scrape for plain series.
-	flat := r.Flat()
-	if flat["b"] != -1.25 || flat[`lat_seconds_count`] != 100 {
-		t.Fatalf("flat = %v", flat)
-	}
 }
 
 func TestRegistryIdempotentAndConflicts(t *testing.T) {
@@ -144,9 +139,6 @@ func TestInstrumentsNilSafe(t *testing.T) {
 	r.RegisterCollector(func(Emit) {})
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
-	}
-	if r.Flat() != nil {
-		t.Fatal("nil registry Flat non-nil")
 	}
 }
 

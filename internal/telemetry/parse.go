@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,21 +99,11 @@ func parseSampleLine(line string) (string, float64, error) {
 		}
 		key, rest = fields[0], fields[1]
 	}
-	v, err := parseFloat(rest)
+	v, err := strconv.ParseFloat(rest, 64)
 	if err != nil {
 		return "", 0, fmt.Errorf("bad value %q: %w", rest, err)
 	}
 	return key, v, nil
-}
-
-func parseFloat(s string) (float64, error) {
-	switch s {
-	case "+Inf":
-		return strconv.ParseFloat("+inf", 64)
-	case "-Inf":
-		return strconv.ParseFloat("-inf", 64)
-	}
-	return strconv.ParseFloat(s, 64)
 }
 
 // Get returns the series value under the exact name{labels} key.
@@ -162,7 +153,7 @@ func (e *Exposition) HistQuantile(name, labels string, q float64) (float64, bool
 	var bounds []float64
 	var cum []uint64
 	for _, b := range bkts {
-		if b.le == inf() {
+		if math.IsInf(b.le, 1) {
 			cum = append(cum, b.cum)
 			continue
 		}
@@ -172,8 +163,6 @@ func (e *Exposition) HistQuantile(name, labels string, q float64) (float64, bool
 	total := cum[len(cum)-1]
 	return quantileFromBuckets(bounds, cum, total, q), true
 }
-
-func inf() float64 { v, _ := strconv.ParseFloat("+inf", 64); return v }
 
 // extractLE removes the le label from a rendered label block, returning
 // its value and the block without it (canonical residual ordering).
@@ -191,7 +180,7 @@ func extractLE(labels string) (le float64, rest string, ok bool) {
 			return 0, "", false
 		}
 		if k == "le" {
-			f, err := parseFloat(v)
+			f, err := strconv.ParseFloat(v, 64)
 			if err != nil {
 				return 0, "", false
 			}
@@ -236,7 +225,7 @@ func splitLabels(s string) []string {
 // cutLabel splits one `k="v"` pair, unescaping the value.
 func cutLabel(p string) (k, v string, ok bool) {
 	i := strings.Index(p, `="`)
-	if i < 0 || !strings.HasSuffix(p, `"`) {
+	if i < 1 || len(p) < i+3 || !strings.HasSuffix(p, `"`) {
 		return "", "", false
 	}
 	k = p[:i]

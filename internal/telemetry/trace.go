@@ -294,9 +294,10 @@ func (s *TraceStore) Len() int {
 // Chrome trace-event export
 // ---------------------------------------------------------------------------
 
-// chromeEvent mirrors the Chrome trace-event "X" (complete) record; ts
-// and dur are microseconds, which is exactly the span encoding.
-type chromeEvent struct {
+// ChromeEvent is one Chrome trace-event "X" (complete) record. Ts and
+// Dur fill the format's microsecond fields: wall-clock µs for request
+// spans, simulated cycles for the obs pipeline view.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat"`
 	Ph   string         `json:"ph"`
@@ -307,20 +308,30 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-type chromeDoc struct {
-	TraceEvents     []chromeEvent  `json:"traceEvents"`
+// ChromeDoc is a Chrome trace-event JSON document (load in
+// chrome://tracing or Perfetto). It is the one trace-event encoder of the
+// repo: request traces here and the obs pipeline view both write through
+// it.
+type ChromeDoc struct {
+	TraceEvents     []ChromeEvent  `json:"traceEvents"`
 	DisplayTimeUnit string         `json:"displayTimeUnit"`
 	OtherData       map[string]any `json:"otherData,omitempty"`
 }
 
-// WriteChromeTrace exports the trace as Chrome trace-event JSON (load in
-// chrome://tracing or Perfetto): one "X" event per span, requester and
-// worker spans on separate rows, attributes as args. The same export
-// conventions internal/obs uses for pipeline visualization.
+// Write encodes the document as one JSON line; no events encode as [].
+func (d *ChromeDoc) Write(w io.Writer) error {
+	if d.TraceEvents == nil {
+		d.TraceEvents = []ChromeEvent{}
+	}
+	return json.NewEncoder(w).Encode(d)
+}
+
+// WriteChromeTrace exports the trace as Chrome trace-event JSON: one "X"
+// event per span, requester and worker spans on separate rows, attributes
+// as args.
 func (t *Trace) WriteChromeTrace(w io.Writer) error {
-	doc := chromeDoc{
+	doc := ChromeDoc{
 		DisplayTimeUnit: "ms",
-		TraceEvents:     []chromeEvent{},
 		OtherData: map[string]any{
 			"requestId": t.ID(),
 		},
@@ -336,14 +347,13 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 				args[k] = v
 			}
 		}
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+		doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
 			Name: sp.Name, Cat: "request", Ph: "X",
 			Ts: sp.StartUs, Dur: sp.DurUs,
 			Pid: 1, Tid: sp.TID, Args: args,
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&doc)
+	return doc.Write(w)
 }
 
 // SpansDoc is the raw-span export schema of /v1/trace/{id}?format=spans.
