@@ -15,10 +15,9 @@ import (
 )
 
 // cmdCluster renders a node's cluster view: ring layout with ownership
-// shares, per-node membership states and breaker circuits, and the
-// forward/hedge/rescue counters scraped from /metricsz. One-shot by
-// default; -watch redraws like top, -expect turns the scrape into a CI
-// assertion.
+// shares, per-node membership states, and the forward/retry/rescue
+// counters scraped from /metricsz. One-shot by default; -watch redraws
+// like top, -expect turns the scrape into a CI assertion.
 func cmdCluster(args []string) error {
 	fs, server := newFlagSet("cluster")
 	watch := fs.Duration("watch", 0, "re-scrape and redraw on this interval (0 = one-shot)")
@@ -93,8 +92,8 @@ func renderCluster(st *proto.ClusterStatus, e *telemetry.Exposition, base string
 		st.Self, st.Epoch, len(st.Members), len(st.Nodes), st.VNodes)
 
 	shares := ownershipShares(st.Members, st.VNodes)
-	fmt.Printf("%-34s %-8s %-5s %-9s %6s %7s %6s %6s %6s %8s\n",
-		"NODE", "STATE", "RING", "BREAKER", "OWN%", "PROBES", "FAILS", "FLAPS", "REJOIN", "LASTERR")
+	fmt.Printf("%-34s %-8s %-5s %6s %7s %6s %6s %6s %8s\n",
+		"NODE", "STATE", "RING", "OWN%", "PROBES", "FAILS", "FLAPS", "REJOIN", "LASTERR")
 	for _, n := range st.Nodes {
 		name := n.ID
 		if n.Self {
@@ -108,8 +107,8 @@ func renderCluster(st *proto.ClusterStatus, e *telemetry.Exposition, base string
 		if len(lastErr) > 28 {
 			lastErr = lastErr[:25] + "…"
 		}
-		fmt.Printf("%-34s %-8s %-5s %-9s %5.1f%% %7d %6d %6d %6d %8s\n",
-			name, n.State, ring, n.Breaker, 100*shares[n.ID],
+		fmt.Printf("%-34s %-8s %-5s %5.1f%% %7d %6d %6d %6d %8s\n",
+			name, n.State, ring, 100*shares[n.ID],
 			n.Probes, n.Fails, n.Flaps, n.Rejoins, lastErr)
 	}
 
@@ -121,14 +120,10 @@ func renderCluster(st *proto.ClusterStatus, e *telemetry.Exposition, base string
 		get(`parrot_cluster_forwards_total{outcome="ok"}`),
 		get(`parrot_cluster_forwards_total{outcome="error"}`),
 		get("parrot_cluster_hop_guard_total"))
-	fmt.Printf("resilience retries %.0f  reroutes %.0f  recoveries %.0f  hedges %.0f (won %.0f / lost %.0f)  breaker opens %.0f\n",
+	fmt.Printf("resilience retries %.0f  reroutes %.0f  recoveries %.0f\n",
 		get("parrot_cluster_retries_total"),
 		get("parrot_cluster_reroutes_total"),
-		get("parrot_cluster_recoveries_total"),
-		get("parrot_cluster_hedges_total"),
-		get("parrot_cluster_hedges_won_total"),
-		get("parrot_cluster_hedges_lost_total"),
-		get("parrot_cluster_breaker_opens_total"))
+		get("parrot_cluster_recoveries_total"))
 	fmt.Printf("probes     ok %.0f | fail %.0f   transitions alive %.0f / suspect %.0f / dead %.0f   rejoins %.0f\n",
 		get(`parrot_cluster_probes_total{outcome="ok"}`),
 		get(`parrot_cluster_probes_total{outcome="fail"}`),

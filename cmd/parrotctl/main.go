@@ -15,11 +15,11 @@
 // prints every series as `name{labels} value`.
 //
 // Against a clustered parrotd, "cluster" renders the node's membership
-// view: ring layout with ownership shares, per-node health states and
-// breaker circuits, plus the forward/hedge/rescue counters scraped from
-// /metricsz. "matrix -verify-owners" rebuilds the ring client-side and
-// asserts every cache-hit cell was served by its ring owner — the
-// cross-node cache-ownership proof the cluster smoke test gates on.
+// view: ring layout with ownership shares and per-node health states,
+// plus the forward/retry/rescue counters scraped from /metricsz.
+// "matrix -verify-owners" rebuilds the ring client-side and asserts every
+// cache-hit cell was served by its ring owner — the cross-node
+// cache-ownership proof the cluster smoke test gates on.
 //
 // Every subcommand accepts -server (default http://127.0.0.1:8044, or
 // $PARROTD when set). The matrix assertions make parrotctl usable as a CI

@@ -114,13 +114,12 @@ func renderTop(e *telemetry.Exposition, base string) {
 		secs(p50i), secs(p99b))
 
 	// Overload-resilience families (absent on an idle daemon = all zero).
-	fmt.Printf("overload   shed int %.0f / batch %.0f  admit limit %.0f  deadline rej %.0f evict %.0f  degraded %.0f\n",
+	fmt.Printf("overload   shed int %.0f / batch %.0f  admit limit %.0f  deadline rej %.0f evict %.0f\n",
 		get(`parrot_shed_total{class="interactive"}`),
 		get(`parrot_shed_total{class="batch"}`),
 		get("parrot_admit_limit"),
 		get("parrot_deadline_rejected_total"),
-		get("parrot_deadline_evicted_total"),
-		get("parrot_degraded_total"))
+		get("parrot_deadline_evicted_total"))
 
 	lookups := famSum("parrot_cache_lookups_total")
 	fmt.Printf("cache      entries %.0f  bytes %s  hit rate %.3f  evictions %.0f  lookups %.0f\n",

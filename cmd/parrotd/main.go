@@ -19,9 +19,11 @@
 // With -peers, N daemons serve as one logical service: cell digests are
 // consistent-hashed onto nodes, non-owned /v1/run requests are forwarded to
 // their owner (one hop max), and /v1/matrix on any node scatters cells
-// across the ring with retry-elsewhere on node death. Peer liveness is
-// probed against /readyz, so draining or still-prewarming nodes are routed
-// around. GET /clusterz exposes the membership view.
+// across the ring with retry-elsewhere on node death. Membership is the
+// one failure detector: peers are probed against /readyz, so draining or
+// still-prewarming nodes are routed around, and a peer that fails
+// -suspectafter times in a row is skipped until a probe succeeds. GET
+// /clusterz exposes the membership view.
 //
 // Operational surface: GET /metricsz serves every stats series as
 // Prometheus text exposition (parrotctl top renders and asserts on it),

@@ -61,7 +61,7 @@ func run() error {
 	deadline := flag.Duration("deadline", 0, "per-request deadline, propagated as X-Parrot-Deadline (0 = none)")
 	max5xx := flag.Int("max-5xx", -1, "fail if more than this many 5xx responses were observed (-1 = no gate)")
 	requireRetryAfter := flag.Bool("require-retry-after", false, "fail unless every 429 shed carried a Retry-After hint")
-	minGoodputRatio := flag.Float64("min-goodput-ratio", 0, "fail unless fresh (non-degraded) interactive goodput >= ratio × fresh batch goodput (0 = no gate)")
+	minGoodputRatio := flag.Float64("min-goodput-ratio", 0, "fail unless interactive goodput >= ratio × batch goodput (0 = no gate)")
 	maxInteractiveP99 := flag.Duration("max-interactive-p99", 0, "fail unless successful interactive p99 <= this (0 = no gate)")
 	flag.Parse()
 
@@ -160,13 +160,11 @@ func run() error {
 		return fmt.Errorf("%d of %d sheds carried no Retry-After hint",
 			report.Shed-report.ShedHintOK, report.Shed)
 	}
-	if *minGoodputRatio > 0 && report.BatchFresh > 0 {
-		// Gate on fresh goodput: degraded fallbacks rescue both classes
-		// alike, so only non-degraded successes show the priority split.
-		ratio := float64(report.InteractiveFresh) / float64(report.BatchFresh)
+	if *minGoodputRatio > 0 && report.BatchOK > 0 {
+		ratio := float64(report.InteractiveOK) / float64(report.BatchOK)
 		if ratio < *minGoodputRatio {
-			return fmt.Errorf("interactive/batch fresh goodput ratio %.2f below required %.2f (%d vs %d)",
-				ratio, *minGoodputRatio, report.InteractiveFresh, report.BatchFresh)
+			return fmt.Errorf("interactive/batch goodput ratio %.2f below required %.2f (%d vs %d)",
+				ratio, *minGoodputRatio, report.InteractiveOK, report.BatchOK)
 		}
 	}
 	if *maxInteractiveP99 > 0 {

@@ -1,23 +1,10 @@
 package cluster
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"parrot/internal/chaos"
-	"parrot/internal/config"
-	"parrot/internal/core"
-	"parrot/internal/experiments"
-	"parrot/internal/serve/client"
-	"parrot/internal/serve/proto"
-	"parrot/internal/telemetry"
-	"parrot/internal/workload"
 )
 
 // mustRules parses a chaos spec or fails the test.
@@ -115,103 +102,5 @@ func TestClockSkewFiresProbesEarly(t *testing.T) {
 		if n.Probes != 1 {
 			t.Fatalf("skewed clock: %s probes = %d, want 1 (an hour of skew makes every deadline due)", n.ID, n.Probes)
 		}
-	}
-}
-
-// hedgeResponse builds a wire response that passes the serve client's
-// result-digest verification, so fake peers can serve real payloads.
-func hedgeResponse(t *testing.T) *proto.RunResponse {
-	t.Helper()
-	app, ok := workload.ByName("gzip")
-	if !ok {
-		t.Fatal("gzip profile missing")
-	}
-	res := core.Run(config.Get(config.TON), app, 2000)
-	return &proto.RunResponse{
-		Digest:       experiments.RunSpec{Model: config.Get(config.TON), App: app, Insts: 2000}.Normalize().Digest(),
-		Result:       res,
-		ResultDigest: experiments.ResultDigest(res),
-		Disposition:  "exact",
-	}
-}
-
-// TestHedgeCancelReleasesLoser: when the hedge completes first, the still
-// in-flight primary must be cancelled — counted by
-// parrot_cluster_hedge_cancels_total — and its server-side handler must
-// return promptly instead of running to completion and doubling fleet load
-// under exactly the conditions that made it slow.
-func TestHedgeCancelReleasesLoser(t *testing.T) {
-	resp := hedgeResponse(t)
-	released := make(chan struct{}, 1) // the slow handler has returned
-	serve := func(delay time.Duration) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			// net/http watches for a client hang-up only once the request
-			// body is consumed; without this read the cancelled leg's
-			// context would never end.
-			io.Copy(io.Discard, r.Body)
-			if delay > 0 {
-				defer func() { released <- struct{}{} }()
-				select {
-				case <-time.After(delay):
-				case <-r.Context().Done():
-					return // cancelled loser: exit promptly
-				}
-			}
-			json.NewEncoder(w).Encode(resp)
-		}))
-	}
-	slow := serve(30 * time.Second)
-	fast := serve(0)
-	t.Cleanup(slow.Close)
-	t.Cleanup(fast.Close)
-
-	reg := NewRegistry(RegistryConfig{
-		Self:   "http://self",
-		Peers:  []string{slow.URL, fast.URL},
-		VNodes: 16,
-	})
-	c := NewClient(reg, ClientConfig{
-		Retry:    client.RetryPolicy{MaxAttempts: 2},
-		HedgeMin: time.Millisecond,
-		HedgeMax: 25 * time.Millisecond, // sparse samples hedge at the max
-		Registry: telemetry.NewRegistry(),
-	})
-
-	// Find a digest the slow peer owns, so the hedge target is the fast one.
-	ring, _ := reg.Ring()
-	digest := ""
-	for i := 0; i < 4096; i++ {
-		d := fmt.Sprintf("cell-%d", i)
-		if owner, ok := ring.Owner(d); ok && owner == slow.URL {
-			digest = d
-			break
-		}
-	}
-	if digest == "" {
-		t.Fatal("no digest owned by the slow peer in 4096 probes")
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	out, info, err := c.RunRemote(ctx, proto.RunRequest{Model: "TON", App: "gzip", Insts: 2000}, digest)
-	if err != nil {
-		t.Fatalf("RunRemote: %v", err)
-	}
-	if out.Digest != resp.Digest {
-		t.Fatalf("digest = %s, want the canned cell %s", out.Digest, resp.Digest)
-	}
-	if !info.Hedged || !info.HedgeWon || info.Node != fast.URL {
-		t.Fatalf("info = %+v, want a winning hedge served by the fast peer", info)
-	}
-	if got := c.hedgesWon.Value(); got != 1 {
-		t.Fatalf("hedges won = %v, want 1", got)
-	}
-	if got := c.hedgeCancels.Value(); got != 1 {
-		t.Fatalf("hedge cancels = %v, want 1 (the slow primary was still in flight)", got)
-	}
-	select {
-	case <-released:
-	case <-time.After(time.Second):
-		t.Fatal("the losing primary's handler was still running 1s after the hedge won")
 	}
 }

@@ -80,7 +80,6 @@ func New(cfg Config) *Cluster {
 	})
 	ccfg := cfg.Client
 	ccfg.Registry = cfg.Registry
-	ccfg.Log = cfg.Log
 	ccfg.Chaos = cfg.Chaos
 	c.cli = NewClient(c.members, ccfg)
 
@@ -127,10 +126,10 @@ func (c *Cluster) Owner(digest string) (node string, self bool) {
 	return node, node == c.Self()
 }
 
-// Execute routes one cell request to its owner (with retries, hedging and
+// Execute routes one cell request to its owner (with retries and
 // failover) and maintains the route/recovery counters. A returned
 // ErrRouteLocal means the caller should run the cell locally — it is this
-// node's to serve after ring changes or because every peer is gated.
+// node's to serve after ring changes or because every peer is excluded.
 func (c *Cluster) Execute(ctx context.Context, req proto.RunRequest, digest string) (*proto.RunResponse, RouteInfo, error) {
 	resp, info, err := c.cli.RunRemote(ctx, req, digest)
 	if err == nil {
@@ -180,7 +179,6 @@ func (c *Cluster) Status() proto.ClusterStatus {
 	for _, n := range ring.Nodes() {
 		inRing[n] = true
 	}
-	now := time.Now()
 	st := proto.ClusterStatus{
 		Self:    c.Self(),
 		Epoch:   epoch,
@@ -193,7 +191,6 @@ func (c *Cluster) Status() proto.ClusterStatus {
 			Self:        n.Self,
 			State:       n.State.String(),
 			InRing:      inRing[n.ID],
-			Breaker:     c.cli.BreakerState(n.ID, now),
 			ConsecFails: n.ConsecFails,
 			Probes:      n.Probes,
 			Fails:       n.Fails,

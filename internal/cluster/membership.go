@@ -16,9 +16,9 @@ type State uint8
 
 // Node states. The lifecycle is alive → suspect → dead → (rejoined ⇒
 // alive). Suspect nodes stay in the ring — ownership must not churn on a
-// single dropped probe — but the routing client prefers to hedge or fail
-// over around them. Dead nodes leave the ring (bumping the epoch) and
-// rejoin it on the first successful probe.
+// single dropped probe — but the routing client fails over around them
+// until a successful probe makes them alive again. Dead nodes leave the
+// ring (bumping the epoch) and rejoin it on the first successful probe.
 const (
 	StateAlive State = iota
 	StateSuspect

@@ -10,15 +10,15 @@
 //     digests that node owned (the minimal-disruption invariant, pinned by
 //     a testing/quick property).
 //   - Registry: per-node health state machine (alive → suspect → dead →
-//     rejoined) driven by jittered probes plus passive traffic reports.
-//     Ring membership excludes dead nodes; every membership change bumps
-//     an epoch that in-flight fan-outs observe to re-route mid-matrix.
-//   - Breaker: a per-node circuit breaker that stops hammering a peer
-//     that fails fast, with a half-open trial after a cooldown.
-//   - Client: the resilient routing client — bounded retry with
-//     exponential backoff + jitter, a hedged second request after a
-//     p99-derived delay, breaker integration, and bounded-load failover
-//     onto ring successors when the owner is unavailable.
+//     rejoined) driven by jittered probes plus passive traffic reports —
+//     the one failure detector. Ring membership excludes dead nodes;
+//     every membership change bumps an epoch that in-flight fan-outs
+//     observe to re-route mid-matrix.
+//   - Client: the routing client — the shared retry ladder (bounded
+//     attempts, exponential backoff + jitter, a carved deadline slice per
+//     attempt) with attempt k sent to the k-th ring candidate that
+//     membership holds alive, so a suspect or dead owner is failed over
+//     onto its ring successors.
 //   - Cluster: the façade the serving layer composes — ownership lookups,
 //     the forwarding client, and the parrot_cluster_* metric families.
 package cluster
@@ -175,47 +175,6 @@ func (r *Ring) Candidates(digest string, k int) []string {
 		}
 	}
 	return out
-}
-
-// OwnerBounded is the bounded-load variant of Owner: the owner is skipped
-// when its current load has reached cap, walking clockwise to the next
-// member under the bound (the last candidate is returned regardless, so a
-// fully loaded ring still routes). load is the caller's per-node in-flight
-// or assignment count; cap is typically BoundedCap of the batch size.
-//
-// Ownership for cache placement must use Owner — OwnerBounded is for
-// spreading execution (hedges, failover) without dogpiling one substitute.
-func (r *Ring) OwnerBounded(digest string, load func(node string) int, cap int) (string, bool) {
-	cands := r.Candidates(digest, 0)
-	if len(cands) == 0 {
-		return "", false
-	}
-	if cap <= 0 {
-		return cands[0], true
-	}
-	for _, n := range cands[:len(cands)-1] {
-		if load(n) < cap {
-			return n, true
-		}
-	}
-	return cands[len(cands)-1], true
-}
-
-// BoundedCap derives the per-node load bound for distributing total items
-// over n members with headroom factor (<=1 means the fair share exactly):
-// ceil(total/n · factor), at least 1.
-func BoundedCap(total, n int, factor float64) int {
-	if n <= 0 {
-		return total
-	}
-	if factor < 1 {
-		factor = 1
-	}
-	c := int(float64(total)/float64(n)*factor + 0.9999)
-	if c < 1 {
-		c = 1
-	}
-	return c
 }
 
 // String renders a compact ring description.

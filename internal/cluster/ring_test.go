@@ -103,37 +103,6 @@ func TestRingCandidatesDistinctAndOwnerFirst(t *testing.T) {
 	}
 }
 
-func TestRingOwnerBounded(t *testing.T) {
-	r := NewRing(members(4), 16)
-	d := digestFor(0x1234567890abcdef)
-	cands := r.Candidates(d, 0)
-
-	// Unloaded: bounded owner is the plain owner.
-	zero := func(string) int { return 0 }
-	if got, _ := r.OwnerBounded(d, zero, 3); got != cands[0] {
-		t.Fatalf("unloaded OwnerBounded = %s, want owner %s", got, cands[0])
-	}
-	// Owner at cap: next candidate takes over.
-	loaded := func(n string) int {
-		if n == cands[0] {
-			return 3
-		}
-		return 0
-	}
-	if got, _ := r.OwnerBounded(d, loaded, 3); got != cands[1] {
-		t.Fatalf("loaded OwnerBounded = %s, want successor %s", got, cands[1])
-	}
-	// Everyone at cap: last candidate is returned regardless, never a miss.
-	full := func(string) int { return 99 }
-	if got, ok := r.OwnerBounded(d, full, 3); !ok || got != cands[len(cands)-1] {
-		t.Fatalf("saturated OwnerBounded = %s,%v, want last candidate %s", got, ok, cands[len(cands)-1])
-	}
-	// cap <= 0 disables the bound.
-	if got, _ := r.OwnerBounded(d, full, 0); got != cands[0] {
-		t.Fatalf("cap<=0 OwnerBounded = %s, want owner %s", got, cands[0])
-	}
-}
-
 func TestRingOwnershipRoughlyBalanced(t *testing.T) {
 	n := 5
 	r := NewRing(members(n), DefaultVNodes)
@@ -151,25 +120,6 @@ func TestRingOwnershipRoughlyBalanced(t *testing.T) {
 	}
 }
 
-func TestBoundedCap(t *testing.T) {
-	cases := []struct {
-		total, n int
-		factor   float64
-		want     int
-	}{
-		{308, 3, 1.25, 129}, // ceil(308/3 · 1.25)
-		{10, 5, 1.0, 2},
-		{1, 4, 1.25, 1}, // at least 1
-		{7, 0, 1.25, 7}, // no members: everything fits anywhere
-		{10, 5, 0.5, 2}, // factor < 1 clamped to fair share
-	}
-	for _, c := range cases {
-		if got := BoundedCap(c.total, c.n, c.factor); got != c.want {
-			t.Errorf("BoundedCap(%d,%d,%g) = %d, want %d", c.total, c.n, c.factor, got, c.want)
-		}
-	}
-}
-
 func TestEmptyRing(t *testing.T) {
 	r := NewRing(nil, 0)
 	if _, ok := r.Owner("anything"); ok {
@@ -177,8 +127,5 @@ func TestEmptyRing(t *testing.T) {
 	}
 	if c := r.Candidates("anything", 3); c != nil {
 		t.Fatalf("empty ring returned candidates %v", c)
-	}
-	if _, ok := r.OwnerBounded("anything", func(string) int { return 0 }, 1); ok {
-		t.Fatal("empty ring claimed a bounded owner")
 	}
 }

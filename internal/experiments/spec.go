@@ -62,25 +62,11 @@ func (s RunSpec) Normalize() RunSpec {
 func (s RunSpec) Digest() string {
 	s = s.Normalize()
 	h := sha256.New()
-	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(s.prefix().state); err != nil {
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(s.prefix()); err != nil {
 		panic(fmt.Sprintf("experiments: restoring spec hash state: %v", err))
 	}
 	wu64(h, uint64(s.Insts))
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// FamilyKey is Digest with the instruction budget masked out: every run of
-// the same (SimVersion, model, application) shares one family regardless
-// of -n. The serving layer's graceful-degradation path uses it to locate a
-// stale-but-related cached result when the exact digest cannot be computed
-// in time.
-func (s RunSpec) FamilyKey() string { return s.prefix().family }
-
-// specPrefix is what a digest hashes before the instruction budget:
-// SimVersion and the JSON of the model and profile.
-type specPrefix struct {
-	family string // hex SHA-256 of the prefix: the FamilyKey
-	state  []byte // marshaled SHA-256 state after the prefix
 }
 
 // specPair is the part of a RunSpec that the prefix encodes.
@@ -94,15 +80,18 @@ const maxPrefixes = 4096
 
 // prefixes memoizes the prefix of each distinct (model, profile) pair, so
 // the JSON encoding — the bulk of a digest's cost — runs once per pair
-// rather than on every Digest and FamilyKey call. Map keys compare floats
-// by value, so a pair differing only in the sign of a zero parameter
-// shares the entry of whichever sign was seen first.
+// rather than on every Digest call. Map keys compare floats by value, so a
+// pair differing only in the sign of a zero parameter shares the entry of
+// whichever sign was seen first.
 var prefixes = struct {
 	sync.RWMutex
-	m map[specPair]*specPrefix
-}{m: make(map[specPair]*specPrefix)}
+	m map[specPair][]byte
+}{m: make(map[specPair][]byte)}
 
-func (s RunSpec) prefix() *specPrefix {
+// prefix returns the marshaled SHA-256 state after what a digest hashes
+// before the instruction budget: SimVersion and the JSON of the model and
+// profile.
+func (s RunSpec) prefix() []byte {
 	key := specPair{s.Model, s.App}
 	prefixes.RLock()
 	p := prefixes.m[key]
@@ -126,13 +115,12 @@ func (s RunSpec) prefix() *specPrefix {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: saving spec hash state: %v", err))
 	}
-	p = &specPrefix{family: hex.EncodeToString(h.Sum(nil)), state: state}
 	prefixes.Lock()
 	if len(prefixes.m) < maxPrefixes {
-		prefixes.m[key] = p
+		prefixes.m[key] = state
 	}
 	prefixes.Unlock()
-	return p
+	return state
 }
 
 // canonical little-endian writers shared by the spec and result hashers.

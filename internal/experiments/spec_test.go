@@ -94,31 +94,26 @@ func TestRunSpecDigestSensitivity(t *testing.T) {
 	}
 }
 
-// TestRunSpecDigestMatchesEncoding: the memoized digest and family key
-// equal the canonical encoding hashed from scratch — for every model ×
+// TestRunSpecDigestMatchesEncoding: the memoized digest equals the
+// canonical encoding hashed from scratch — for every model ×
 // application pair, across budgets, and for a perturbed model that shares
 // an ID with a pair already memoized.
 func TestRunSpecDigestMatchesEncoding(t *testing.T) {
-	hashOf := func(s RunSpec, withInsts bool) string {
+	hashOf := func(s RunSpec) string {
 		h := sha256.New()
 		wu64(h, SimVersion)
 		mb, _ := json.Marshal(s.Model)
 		pb, _ := json.Marshal(s.App)
 		wbytes(h, mb)
 		wbytes(h, pb)
-		if withInsts {
-			wu64(h, uint64(s.Normalize().Insts))
-		}
+		wu64(h, uint64(s.Normalize().Insts))
 		return hex.EncodeToString(h.Sum(nil))
 	}
 	check := func(s RunSpec) {
 		t.Helper()
 		for i := 0; i < 2; i++ { // first call fills the memo, second reads it
-			if got, want := s.Digest(), hashOf(s, true); got != want {
+			if got, want := s.Digest(), hashOf(s); got != want {
 				t.Fatalf("%s/%s/%d: digest %.12s, canonical %.12s", s.Model.ID, s.App.Name, s.Insts, got, want)
-			}
-			if got, want := s.FamilyKey(), hashOf(s, false); got != want {
-				t.Fatalf("%s/%s: family key %.12s, canonical %.12s", s.Model.ID, s.App.Name, got, want)
 			}
 		}
 	}

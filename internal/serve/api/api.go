@@ -92,7 +92,6 @@ type Server struct {
 
 	deadlineReqs   *telemetry.Counter
 	deadlineBudget *telemetry.Histogram
-	degradedTotal  *telemetry.Counter
 }
 
 // New builds a server over a scheduler (required) and its cache (may be
@@ -143,8 +142,6 @@ func New(cfg Config) *Server {
 		"Requests that arrived carrying an X-Parrot-Deadline budget header.")
 	s.deadlineBudget = s.reg.Histogram("parrot_deadline_budget_seconds",
 		"Remaining deadline budget carried by X-Parrot-Deadline.", reqBounds)
-	s.degradedTotal = s.reg.Counter("parrot_degraded_total",
-		"Run responses served as stale family fallbacks under overload (X-Parrot-Degraded: stale).")
 
 	// Scrape-time collectors over single snapshots: cache, pool, process.
 	cfg.Cache.Register(s.reg)
@@ -392,69 +389,16 @@ func writeShed(w http.ResponseWriter, shed *sched.ShedError) {
 	})
 }
 
-// writeRunError surfaces a Submit failure on /v1/run. Shed and
-// deadline-class failures first try graceful degradation (serveStale);
-// sheds that cannot degrade carry Retry-After hints; everything else maps
-// through schedErrStatus. Drain rejections never degrade — a draining node
-// should shrink its work, not volunteer more.
-func (s *Server) writeRunError(ctx context.Context, w http.ResponseWriter, spec experiments.RunSpec, start time.Time, err error) {
-	degradable := errors.Is(err, sched.ErrShed) ||
-		errors.Is(err, sched.ErrDeadlineUnmeetable) ||
-		errors.Is(err, context.DeadlineExceeded)
-	if degradable && s.serveStale(ctx, w, spec, start) {
-		return
-	}
+// writeRunError surfaces a Submit failure on /v1/run: a shed answers 429
+// with Retry-After hints, everything else maps through schedErrStatus (a
+// missed deadline is a 504). The answer is never another cell's result.
+func writeRunError(w http.ResponseWriter, err error) {
 	var shed *sched.ShedError
 	if errors.As(err, &shed) {
 		writeShed(w, shed)
 		return
 	}
 	writeErr(w, schedErrStatus(err), "%v", err)
-}
-
-// serveStale is /v1/run's graceful-degradation path for shed or
-// deadline-failed submits: first an exact-digest recheck (the cell may have
-// landed while the job queued), then the newest cached result of the same
-// (model, app, sim-version) family at any instruction budget. A family hit
-// answers 200 with explicit staleness markers — Degraded/RequestedDigest in
-// the body and X-Parrot-Degraded: stale on the wire — because an
-// approximate power number now beats a 429 for latency-bound callers, and
-// the marker lets everyone else discard it. Reports whether it wrote a
-// response.
-func (s *Server) serveStale(ctx context.Context, w http.ResponseWriter, spec experiments.RunSpec, start time.Time) bool {
-	c := s.cfg.Cache
-	if c == nil {
-		return false
-	}
-	want := spec.Digest()
-	if res, ok := c.GetCtx(ctx, want); ok {
-		// The exact cell landed while the scheduler bounced us: serve it
-		// fresh, no degradation needed.
-		s.writeHit(ctx, w, want, experiments.ResultDigest(res), res, start)
-		return true
-	}
-	res, digest, ok := c.GetFamily(ctx, spec.FamilyKey())
-	if !ok {
-		return false
-	}
-	s.degradedTotal.Inc()
-	elapsed := time.Since(start)
-	s.cellReqs("degraded").Inc()
-	s.cellSecs("degraded").Observe(elapsed.Seconds())
-	w.Header().Set(proto.DegradedHeader, "stale")
-	writeJSON(w, http.StatusOK, proto.RunResponse{
-		Digest:          digest,
-		Cached:          true,
-		Disposition:     "degraded",
-		RequestID:       telemetry.TraceFrom(ctx).ID(),
-		ResultDigest:    experiments.ResultDigest(res),
-		ElapsedUs:       elapsed.Microseconds(),
-		Result:          res,
-		Node:            s.cfg.NodeID,
-		Degraded:        true,
-		RequestedDigest: want,
-	})
-	return true
 }
 
 // writeHit answers /v1/run with a cell served from this node's cache.
@@ -492,9 +436,10 @@ func (s *Server) serveReplica(ctx context.Context, w http.ResponseWriter, digest
 }
 
 // keepReplica stores a forwarded answer as a replica when it is exactly
-// the requested cell: not a stale family fallback, stored under the
-// requested digest, and carrying a ResultDigest that the routing client
-// (serve/client.Run) verified against the result on receipt.
+// the requested cell: not marked Degraded (parrotd never sets it, but a
+// peer is outside this process), stored under the requested digest, and
+// carrying a ResultDigest that the routing client (serve/client.Run)
+// verified against the result on receipt.
 func (s *Server) keepReplica(digest string, resp *proto.RunResponse) {
 	if s.cfg.Cache == nil || resp.Degraded || resp.Digest != digest ||
 		resp.ResultDigest == "" || resp.Result == nil {
@@ -581,7 +526,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		res, disp, err = s.cfg.Sched.Submit(ctx, spec)
 	}
 	if err != nil {
-		s.writeRunError(ctx, w, spec, start, err)
+		writeRunError(w, err)
 		return
 	}
 	if rescued {

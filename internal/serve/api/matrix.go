@@ -187,7 +187,7 @@ type cellOutcome struct {
 
 // runMatrixCell executes one cell, routing through the cluster when one is
 // configured. The fault-tolerance ladder: (1) the ring owner (with the
-// routing client's retries, hedging and failover to successors), then
+// routing client's retries and failover to successors), then
 // (2) local rescue on this coordinator — so a cell only fails when the
 // local scheduler itself cannot run it (drain or matrix timeout).
 func (s *Server) runMatrixCell(ctx context.Context, spec experiments.RunSpec, model, app string, insts int) cellOutcome {

@@ -88,14 +88,13 @@ func TestShedAnswers429WithRetryAfter(t *testing.T) {
 	}
 }
 
-// TestDegradedStaleServesFamilyFallback: under shed pressure, a cell whose
-// (model, app) family has a cached result at another instruction budget is
-// served degraded — 200, explicit staleness markers, X-Parrot-Degraded —
-// instead of bounced.
-func TestDegradedStaleServesFamilyFallback(t *testing.T) {
+// TestShedNeverAnswersAnotherBudget: a shed /v1/run answers a hinted 429
+// even when the same (model, app) is cached at another instruction budget.
+// A result is only ever the requested cell's: the cached cell itself is
+// still served through the clamp.
+func TestShedNeverAnswersAnotherBudget(t *testing.T) {
 	hs, cl, s := overloadServer(t)
 
-	// Warm the family at one budget, then shed everything.
 	warm, err := cl.Run(context.Background(), proto.RunRequest{Model: "TON", App: "gzip", Insts: 5000})
 	if err != nil {
 		t.Fatal(err)
@@ -104,34 +103,21 @@ func TestDegradedStaleServesFamilyFallback(t *testing.T) {
 
 	resp := postRun(t, hs, proto.RunRequest{Model: "TON", App: "gzip", Insts: 9000}, nil)
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 via degraded fallback", resp.StatusCode)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429 with the 5000-inst cell cached", resp.StatusCode)
 	}
-	if got := resp.Header.Get(proto.DegradedHeader); got != "stale" {
-		t.Fatalf("%s = %q, want \"stale\"", proto.DegradedHeader, got)
-	}
-	var out proto.RunResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Degraded || out.Disposition != "degraded" {
-		t.Fatalf("degraded=%v disposition=%q, want explicit staleness markers", out.Degraded, out.Disposition)
-	}
-	if out.Digest != warm.Digest {
-		t.Fatalf("degraded digest = %s, want the family's cached digest %s", out.Digest, warm.Digest)
-	}
-	if out.RequestedDigest == "" || out.RequestedDigest == out.Digest {
-		t.Fatalf("requestedDigest = %q, want the distinct digest actually asked for", out.RequestedDigest)
-	}
-	if out.Result == nil || out.Result.Insts == 0 {
-		t.Fatal("degraded response carries no result")
+	if resp.Header.Get("Retry-After") == "" || resp.Header.Get(proto.RetryAfterMsHeader) == "" {
+		t.Fatal("shed 429 carries no Retry-After hint")
 	}
 
-	// An unrelated family has nothing to degrade to: plain 429.
-	resp2 := postRun(t, hs, proto.RunRequest{Model: "TON", App: "swim", Insts: 5000}, nil)
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("cold-family status = %d, want 429", resp2.StatusCode)
+	hit := postRun(t, hs, proto.RunRequest{Model: "TON", App: "gzip", Insts: 5000}, nil)
+	defer hit.Body.Close()
+	var out proto.RunResponse
+	if err := json.NewDecoder(hit.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if hit.StatusCode != http.StatusOK || out.Digest != warm.Digest || !out.Cached || out.Degraded {
+		t.Fatalf("status %d, response %+v; want the cached cell %.12s itself", hit.StatusCode, out, warm.Digest)
 	}
 }
 
@@ -147,7 +133,7 @@ func TestDeadlineHeaderBecomesGatewayTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Different app (cold family — nothing to degrade to), 1ms budget.
+	// Different app, so the cell is not cached; 1ms budget.
 	resp := postRun(t, hs, proto.RunRequest{Model: "N", App: "swim", Insts: 2_000_000},
 		map[string]string{proto.DeadlineHeader: "1"})
 	defer resp.Body.Close()
@@ -216,9 +202,8 @@ func TestMatrixPartialResults(t *testing.T) {
 
 // TestHugeDeadlineBudgetIsUnbounded: an X-Parrot-Deadline or timeoutMs
 // budget past the Duration range must saturate, not wrap into a negative
-// timeout that answers 504 (or a stale degraded cell) instead of
-// simulating. Each case asks for a different app, so none can be answered
-// from the cache or from a cached cell of the same family.
+// timeout that answers 504 instead of simulating. Each case asks for a
+// different app, so none can be answered from the cache.
 func TestHugeDeadlineBudgetIsUnbounded(t *testing.T) {
 	hs, cl, _ := overloadServer(t)
 	for _, tc := range []struct {
@@ -238,9 +223,8 @@ func TestHugeDeadlineBudgetIsUnbounded(t *testing.T) {
 			}
 			resp := postRun(t, hs, proto.RunRequest{Model: "TON", App: tc.app, Insts: 5000, TimeoutMs: tc.timeoutMs}, hdr)
 			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK || resp.Header.Get(proto.DegradedHeader) != "" {
-				t.Fatalf("status = %d, degraded = %q; want an exact 200",
-					resp.StatusCode, resp.Header.Get(proto.DegradedHeader))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d, want 200", resp.StatusCode)
 			}
 		})
 	}

@@ -149,8 +149,8 @@ func TestClusterRescueProbesCacheOnce(t *testing.T) {
 }
 
 // TestClusterForwardsStoredOnlyWhenExact: a forwarded answer becomes a
-// replica only when it is the requested cell itself. An answer marked as a
-// stale family fallback (even one naming the requested digest), one stored
+// replica only when it is the requested cell itself. An answer marked
+// Degraded (even one naming the requested digest), one stored
 // under another digest, or one whose ResultDigest the client could not
 // verify is passed on but not kept, so the repeat request is forwarded
 // again.

@@ -17,8 +17,8 @@
 // copy, not a JSON decode. They come in two classes. Owned entries are the
 // cells this node computed or loaded from its own disk. Replicas are
 // answers a cluster coordinator received from a peer that owns the cell:
-// they live in memory only, never reach the disk or the family index, and
-// are always evicted before any owned entry.
+// they live in memory only, never reach the disk, and are always evicted
+// before any owned entry.
 package cache
 
 import (
@@ -143,12 +143,6 @@ type Cache struct {
 	dir      string
 	chaos    *chaos.Injector
 
-	// families maps a spec family key (model+app, insts masked — see
-	// experiments.RunSpec.FamilyKey) to the digest of the family's most
-	// recently stored member. It is a secondary index only — entries own
-	// the bytes, and a family whose member was evicted simply misses.
-	families map[string]string
-
 	// ownedBytes/ownedPuts sum and count encoded entry sizes over all owned
 	// insertions; their mean sizes replicas and is the byte-budget sizing
 	// signal surfaced on /metricsz.
@@ -165,11 +159,10 @@ func New(cfg Config) (*Cache, error) {
 		budget = 64 << 20
 	}
 	c := &Cache{
-		budget:   budget,
-		entries:  make(map[string]*entry),
-		families: make(map[string]string),
-		dir:      cfg.Dir,
-		chaos:    cfg.Chaos,
+		budget:  budget,
+		entries: make(map[string]*entry),
+		dir:     cfg.Dir,
+		chaos:   cfg.Chaos,
 	}
 	if cfg.Dir != "" {
 		if err := c.initDir(); err != nil {
@@ -298,10 +291,10 @@ func (c *Cache) Put(digest string, res *core.Result) error {
 	return nil
 }
 
-// PutReplica stores a peer-owned cell in memory only: no disk write, no
-// family-index entry, and first in line for eviction. resDigest must be
-// the result's verified ResultDigest; it is stored as given, so the insert
-// neither encodes nor hashes. A digest already resident is left as it is.
+// PutReplica stores a peer-owned cell in memory only: no disk write, and
+// first in line for eviction. resDigest must be the result's verified
+// ResultDigest; it is stored as given, so the insert neither encodes nor
+// hashes. A digest already resident is left as it is.
 func (c *Cache) PutReplica(digest, resDigest string, res *core.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -313,34 +306,6 @@ func (c *Cache) PutReplica(digest, resDigest string, res *core.Result) {
 		size = int64(unsafe.Sizeof(*res))
 	}
 	c.insertLocked(&entry{key: digest, res: *res, resDigest: resDigest, size: size, replica: true})
-}
-
-// PutTagged is Put plus a family-index update: the digest becomes the
-// family's most recent member, making it discoverable by GetFamily when a
-// later run of the same (model, app) family must degrade to a stale
-// result under overload.
-func (c *Cache) PutTagged(digest, family string, res *core.Result) error {
-	c.mu.Lock()
-	c.families[family] = digest
-	c.mu.Unlock()
-	return c.Put(digest, res)
-}
-
-// GetFamily returns the most recently stored member of a spec family (and
-// the digest it is stored under), or ok=false when the family has no
-// resident member. Telemetry mirrors GetCtx.
-func (c *Cache) GetFamily(ctx context.Context, family string) (*core.Result, string, bool) {
-	c.mu.Lock()
-	digest, ok := c.families[family]
-	c.mu.Unlock()
-	if !ok {
-		return nil, "", false
-	}
-	res, found := c.GetCtx(ctx, digest)
-	if !found {
-		return nil, "", false
-	}
-	return res, digest, true
 }
 
 func (c *Cache) listOf(e *entry) *lru {

@@ -314,9 +314,9 @@ func writeFile(t *testing.T, path string, b []byte) {
 func clone(b []byte) []byte { return append([]byte(nil), b...) }
 
 // TestReplicaStaysInMemory: a replica is served from memory but never
-// written to disk or entered in the family index, so neither a fresh
-// instance over the same directory nor a family lookup can find it. A Put
-// of the same digest promotes it to an owned, persisted entry.
+// written to disk, so a fresh instance over the same directory cannot
+// find it. A Put of the same digest promotes it to an owned, persisted
+// entry.
 func TestReplicaStaysInMemory(t *testing.T) {
 	dir := t.TempDir()
 	c, err := New(Config{MemBudget: 1 << 20, Dir: dir})
@@ -339,9 +339,6 @@ func TestReplicaStaysInMemory(t *testing.T) {
 	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
 		t.Fatalf("replica reached disk: %d files", len(ents))
 	}
-	if _, _, ok := c.GetFamily(context.Background(), spec.FamilyKey()); ok {
-		t.Fatal("replica entered the family index")
-	}
 	fresh, err := New(Config{MemBudget: 1 << 20, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -350,14 +347,11 @@ func TestReplicaStaysInMemory(t *testing.T) {
 		t.Fatal("a fresh instance found the replica")
 	}
 
-	if err := c.PutTagged(digest, spec.FamilyKey(), res); err != nil {
+	if err := c.Put(digest, res); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Replicas != 0 || st.Entries != 1 || st.DiskPuts != 1 {
 		t.Fatalf("after Put: stats = %+v, want one owned entry on disk", st)
-	}
-	if _, fam, ok := c.GetFamily(context.Background(), spec.FamilyKey()); !ok || fam != digest {
-		t.Fatal("promoted entry missing from the family index")
 	}
 }
 

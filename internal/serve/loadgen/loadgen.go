@@ -102,22 +102,15 @@ type Report struct {
 	// Overload accounting. Shed counts 429 rejections (they are not
 	// Errors: a correct shed is the overload design working); ShedHintOK
 	// counts sheds that carried a usable Retry-After hint — the smoke
-	// test's shed-correctness gate is Shed == ShedHintOK. Degraded counts
-	// 200s served as stale family fallbacks. Server5xx counts responses
-	// the overload design promises never to produce.
+	// test's shed-correctness gate is Shed == ShedHintOK. Server5xx counts
+	// responses the overload design promises never to produce.
 	Shed       int `json:"shed,omitempty"`
 	ShedHintOK int `json:"shedHintOk,omitempty"`
-	Degraded   int `json:"degraded,omitempty"`
 	Server5xx  int `json:"server5xx,omitempty"`
-	// InteractiveOK/BatchOK are per-class goodput (successful responses,
-	// degraded included): interactive must out-survive batch under storm.
+	// InteractiveOK/BatchOK are per-class goodput (successful responses):
+	// interactive must out-survive batch under storm.
 	InteractiveOK int `json:"interactiveOk,omitempty"`
 	BatchOK       int `json:"batchOk,omitempty"`
-	// InteractiveFresh/BatchFresh exclude degraded fallbacks: stale serving
-	// rescues both classes alike, so the priority differential the limiter
-	// enforces is only visible in fresh (simulated or exact-hit) goodput.
-	InteractiveFresh int `json:"interactiveFresh,omitempty"`
-	BatchFresh       int `json:"batchFresh,omitempty"`
 
 	// All/Cached/Uncached split the latency population by cache
 	// disposition: the acceptance gate is on Cached.P99.
@@ -154,7 +147,6 @@ type sample struct {
 	batch    bool
 	shed     bool
 	shedHint bool
-	degraded bool
 	s5xx     bool
 }
 
@@ -242,7 +234,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			record(s)
 			return
 		}
-		record(sample{us: el, cached: resp.Cached, batch: batch, degraded: resp.Degraded})
+		record(sample{us: el, cached: resp.Cached, batch: batch})
 	}
 
 	start := time.Now()
@@ -393,19 +385,10 @@ func summarize(mode string, cfg Config, samples []sample, elapsed time.Duration)
 			r.Errors++
 			continue
 		}
-		if s.degraded {
-			r.Degraded++
-		}
 		if s.batch {
 			r.BatchOK++
-			if !s.degraded {
-				r.BatchFresh++
-			}
 		} else {
 			r.InteractiveOK++
-			if !s.degraded {
-				r.InteractiveFresh++
-			}
 			inter = append(inter, s.us)
 		}
 		all = append(all, s.us)
@@ -463,10 +446,9 @@ func (r *Report) String() string {
 		r.Mode, r.Requests, r.Errors, r.DistinctMod, r.DistinctApp,
 		float64(r.ElapsedMs)/1000, r.Throughput)
 	fmt.Fprintf(&b, "  cache hit rate %.1f%% (%d/%d)\n", 100*r.HitRate, r.CacheHits, r.Requests-r.Errors)
-	if r.Shed > 0 || r.Degraded > 0 || r.Server5xx > 0 {
-		fmt.Fprintf(&b, "  overload: shed %d (with Retry-After %d)  degraded %d  5xx %d  goodput interactive %d / batch %d  (fresh %d / %d)\n",
-			r.Shed, r.ShedHintOK, r.Degraded, r.Server5xx, r.InteractiveOK, r.BatchOK,
-			r.InteractiveFresh, r.BatchFresh)
+	if r.Shed > 0 || r.Server5xx > 0 {
+		fmt.Fprintf(&b, "  overload: shed %d (with Retry-After %d)  5xx %d  goodput interactive %d / batch %d\n",
+			r.Shed, r.ShedHintOK, r.Server5xx, r.InteractiveOK, r.BatchOK)
 	}
 	row := func(name string, p Percentiles) {
 		if p.N == 0 {
@@ -478,7 +460,7 @@ func (r *Report) String() string {
 	row("all", r.All)
 	row("cached", r.Cached)
 	row("uncached", r.Uncached)
-	if r.Shed > 0 || r.Degraded > 0 {
+	if r.Shed > 0 {
 		row("interact.", r.Interactive)
 	}
 	return b.String()

@@ -27,9 +27,6 @@ const (
 	// survives clock skew between hops; each hop re-stamps the remaining
 	// budget from its own ctx deadline before forwarding.
 	DeadlineHeader = "X-Parrot-Deadline"
-	// DegradedHeader marks a /v1/run response served from a stale family
-	// fallback under shed or deadline pressure (value "stale").
-	DegradedHeader = "X-Parrot-Degraded"
 	// RetryAfterMsHeader is the millisecond-precision companion of the
 	// standard Retry-After header on 429 shed responses.
 	RetryAfterMsHeader = "X-Parrot-Retry-After-Ms"
@@ -91,10 +88,11 @@ type RunResponse struct {
 	// Attempts counts transport attempts the client layer needed (1 = first
 	// try; populated client-side by the retrying client, not the server).
 	Attempts int `json:"attempts,omitempty"`
-	// Degraded marks a stale family fallback served under shed or deadline
-	// pressure: Digest/Result belong to a previously cached run of the same
-	// (model, app) family — possibly at a different instruction budget —
-	// and RequestedDigest is the digest that was actually asked for.
+	// Degraded and RequestedDigest are never set by parrotd: a shed
+	// answers 429 and a missed deadline 504, never a result for another
+	// instruction budget. The fields stay for clients that still check
+	// them, and a coordinator refuses to keep a peer answer with Degraded
+	// set.
 	Degraded        bool   `json:"degraded,omitempty"`
 	RequestedDigest string `json:"requestedDigest,omitempty"`
 }
@@ -201,10 +199,7 @@ type ClusterNode struct {
 	// State is "alive", "suspect" or "dead".
 	State string `json:"state"`
 	// InRing reports ring membership (non-dead nodes only).
-	InRing bool `json:"inRing"`
-	// Breaker is this node's circuit state as seen from the responding
-	// node ("closed", "open", "half_open").
-	Breaker     string `json:"breaker,omitempty"`
+	InRing      bool   `json:"inRing"`
 	ConsecFails int    `json:"consecFails,omitempty"`
 	Probes      uint64 `json:"probes"`
 	Fails       uint64 `json:"fails"`

@@ -655,9 +655,8 @@ func (s *Sched) worker() {
 
 		if c := s.cfg.Cache; c != nil {
 			// Disk write errors are non-fatal: the result is still returned
-			// and memory-cached; the cache counts the error. The family tag
-			// (model+app, insts masked) feeds the degraded-serving fallback.
-			_ = c.PutTagged(j.digest, j.spec.FamilyKey(), res)
+			// and memory-cached; the cache counts the error.
+			_ = c.Put(j.digest, res)
 			j.tr.AddSpan("cache.put", telemetry.TIDWorker, doneT, s.now(),
 				telemetry.A("digest", shortDigest(j.digest)))
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"parrot/internal/isa"
 	"parrot/internal/workload"
 )
 
@@ -77,6 +78,23 @@ func TestHeaderAndStaticCorruptionRejected(t *testing.T) {
 		{"uop_opcode_out_of_range", "opcode", func(b []byte) []byte {
 			// First uop header starts after pc(8)+size(1)+kind(1)+target(8)+nuops(1).
 			b[staticStart+19] = 0xFF
+			return b
+		}},
+		{"uop_cond_out_of_range", "condition", func(b []byte) []byte {
+			b[staticStart+19+1] = uint8(isa.NumConds) // header: op, cond, dst[2], src[4], subops[2], taken
+			return b
+		}},
+		{"uop_dst_register_out_of_range", "register", func(b []byte) []byte {
+			b[staticStart+19+2] = isa.NumRegs
+			return b
+		}},
+		{"uop_src_register_out_of_range", "register", func(b []byte) []byte {
+			// 0x40 once indexed past the OOO engine's rename table.
+			b[staticStart+19+4] = 0x40
+			return b
+		}},
+		{"uop_subop_out_of_range", "sub-op", func(b []byte) []byte {
+			b[staticStart+19+8] = uint8(isa.NumOps)
 			return b
 		}},
 		{"missing_dynamic_count", "", func(b []byte) []byte {

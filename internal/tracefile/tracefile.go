@@ -306,9 +306,6 @@ func readInst(r io.Reader) (*isa.Inst, error) {
 		if err := binary.Read(r, binary.LittleEndian, &imm); err != nil {
 			return nil, err
 		}
-		if hdr[0] >= uint8(isa.NumOps) {
-			return nil, fmt.Errorf("bad opcode %d", hdr[0])
-		}
 		u := isa.Uop{
 			Op:     isa.Op(hdr[0]),
 			Cond:   isa.Cond(hdr[1]),
@@ -318,9 +315,38 @@ func readInst(r io.Reader) (*isa.Inst, error) {
 			Taken:  hdr[10] != 0,
 			Imm:    imm,
 		}
+		if err := checkUop(&u); err != nil {
+			return nil, err
+		}
 		in.Uops = append(in.Uops, u)
 	}
 	return in, nil
+}
+
+// checkUop rejects a uop carrying a byte the simulator would use as an
+// out-of-range index: an opcode or fused sub-op past NumOps, a condition
+// past NumConds, or an operand that is neither RegNone nor a real
+// register (the rename table has NumRegs entries).
+func checkUop(u *isa.Uop) error {
+	if int(u.Op) >= isa.NumOps {
+		return fmt.Errorf("bad opcode %d", u.Op)
+	}
+	if u.Cond >= isa.NumConds {
+		return fmt.Errorf("bad condition %d", u.Cond)
+	}
+	for _, op := range u.SubOps {
+		if int(op) >= isa.NumOps {
+			return fmt.Errorf("bad sub-op %d", op)
+		}
+	}
+	for _, regs := range [][]isa.Reg{u.Dst[:], u.Src[:]} {
+		for _, r := range regs {
+			if r != isa.RegNone && !r.Valid() {
+				return fmt.Errorf("bad register %d", r)
+			}
+		}
+	}
+	return nil
 }
 
 // Next implements the instruction-source contract.

@@ -8,7 +8,9 @@
 #   1. fault tolerance: the matrix completes with zero failed cells despite
 #      losing a node that owned ~1/3 of the digest space mid-run, and the
 #      recovery counters prove cells actually crossed the failover paths
-#      (parrot_cluster_recoveries_total >= 1);
+#      (parrot_cluster_recoveries_total >= 1), and membership — the one
+#      failure detector — marked the killed node suspect
+#      (parrot_cluster_transitions_total{to="suspect"} >= 1);
 #   2. bit-exactness: the cold pass reproduces the golden 44×7 @ 50k matrix
 #      digest pinned in internal/experiments/digest_test.go — identical to
 #      what a single in-process experiments.Run computes;
@@ -149,7 +151,7 @@ ctl cluster -server "${urls[0]}" \
   -expect 'parrot_cluster_route_total{dest="remote"}>=1' \
   -expect 'parrot_cluster_route_total{dest="local"}>=1' \
   -expect 'parrot_cluster_retries_total>=0' \
-  -expect 'parrot_cluster_hedges_total>=0'
+  -expect 'parrot_cluster_transitions_total{to="suspect"}>=1'
 
 echo "== waiting for survivors to declare node2 dead (ring shrinks to 2)"
 for i in 0 1; do
