@@ -121,13 +121,7 @@ func (c *Client) RunRemote(ctx context.Context, req proto.RunRequest, digest str
 		}
 		prevEpoch = epoch
 
-		target, ok := c.pick(ring, digest, attempt)
-		if !ok {
-			if lastErr != nil {
-				return nil, info, fmt.Errorf("cluster: no eligible node for %.12s… (last error: %w)", digest, lastErr)
-			}
-			return nil, info, fmt.Errorf("cluster: no eligible node for %.12s…", digest)
-		}
+		target := c.pick(ring, digest, attempt)
 		if target == c.reg.Self() {
 			if lastErr != nil {
 				// Falling back to self after a failed remote attempt is a
@@ -194,21 +188,15 @@ func (c *Client) attempt(ctx context.Context, node string, req proto.RunRequest,
 // Eligible means this node or a peer membership holds alive: a suspect or
 // dead peer is skipped until a successful probe restores it. Attempt 0 on
 // a healthy ring is always the true owner, keeping cache placement exact.
-func (c *Client) pick(ring *Ring, digest string, attempt int) (string, bool) {
+// Membership never demotes self or drops it from the ring
+// (TestMembershipSelfNeverProbed), so there is always a target.
+func (c *Client) pick(ring *Ring, digest string, attempt int) string {
 	cands := ring.Candidates(digest, 0)
-	if len(cands) == 0 {
-		return "", false
-	}
 	elig := make([]string, 0, len(cands))
 	for _, n := range cands {
 		if n == c.reg.Self() || c.reg.StateOf(n) == StateAlive {
 			elig = append(elig, n)
 		}
 	}
-	if len(elig) == 0 {
-		// Everything excluded: fall back to the raw owner so the retry
-		// loop surfaces a real error.
-		return cands[0], true
-	}
-	return elig[min(attempt, len(elig)-1)], true
+	return elig[min(attempt, len(elig)-1)]
 }

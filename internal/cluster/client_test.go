@@ -207,7 +207,7 @@ func (f *detectorFixture) wantState(step string, want State) {
 // wantPick checks where attempt 0 of the cell goes.
 func (f *detectorFixture) wantPick(step, want string) {
 	f.t.Helper()
-	if got, _ := f.c.pick(f.ring0, f.digest, 0); got != want {
+	if got := f.c.pick(f.ring0, f.digest, 0); got != want {
 		f.t.Fatalf("%s: attempt 0 picks %s, want %s", step, got, want)
 	}
 }

@@ -210,10 +210,15 @@ func TestMembershipPassiveReports(t *testing.T) {
 }
 
 // TestMembershipSelfNeverProbed: observations about self are ignored — a
-// node cannot demote itself out of its own ring.
+// node cannot demote itself out of its own ring. Even with every peer
+// failing until it is dead, self stays alive and stays in the ring, so the
+// routing client's pick always has an eligible target.
 func TestMembershipSelfNeverProbed(t *testing.T) {
 	r, clk, script := testRegistry(t)
-	script.set("http://n1", true)
+	for _, n := range []string{"http://n1", "http://n2", "http://n3"} {
+		script.set(n, true)
+	}
+	r.ReportFailure("http://n1", errors.New("nope"))
 	for i := 0; i < 10; i++ {
 		step(r, clk)
 	}
@@ -225,6 +230,15 @@ func TestMembershipSelfNeverProbed(t *testing.T) {
 		if st.ID == "http://n1" && st.Probes != 0 {
 			t.Fatalf("self was probed %d times", st.Probes)
 		}
+	}
+	for _, peer := range []string{"http://n2", "http://n3"} {
+		if got := r.StateOf(peer); got != StateDead {
+			t.Fatalf("%s state = %v, want dead after 10 failed probes", peer, got)
+		}
+	}
+	ring, _ := r.Ring()
+	if nodes := ring.Nodes(); len(nodes) != 1 || nodes[0] != "http://n1" {
+		t.Fatalf("ring nodes = %v, want only self", nodes)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"parrot/internal/config"
@@ -67,12 +68,15 @@ type Results struct {
 // model/application simulation is independent; parallel execution does not
 // change any result).
 //
-// The fan-out is mutex-free on the hot path: all jobs are preloaded into a
-// buffered channel (no producer goroutine, no send blocking), each worker
-// writes only its own cells of the preallocated matrix, and each worker
-// keeps one machine per model — drawn from core.DefaultPool on first use and
-// Reset between runs — so the pool lock is touched O(workers × models)
-// times instead of once per cell.
+// Jobs are handed out app-major, so the cells of one application run back
+// to back and replay one selection log (logShare): the stream walk and
+// trace selection, which do not depend on the model, run once per
+// application instead of once per cell, and at most workers+1 logs are
+// live. All jobs are preloaded into a buffered channel (no producer
+// goroutine, no send blocking), each worker writes only its own cells of
+// the preallocated matrix, and each worker keeps one machine per model —
+// drawn from core.DefaultPool on first use and Reset between runs — so the
+// pool lock is touched O(workers × models) times instead of once per cell.
 func Run(cfg Config) *Results {
 	apps := cfg.Apps
 	if apps == nil {
@@ -102,14 +106,15 @@ func Run(cfg Config) *Results {
 		res.appIdx[p.Name] = i
 	}
 
-	// Preload every cell index; model-major order keeps consecutive jobs on
-	// the same model, so a worker's locally held machine is reused (Reset)
-	// rather than re-fetched for most of its jobs.
+	// Preload every cell index in app-major order.
 	jobs := make(chan int, len(res.matrix))
-	for i := range res.matrix {
-		jobs <- i
+	for a := range apps {
+		for mi := range models {
+			jobs <- mi*len(apps) + a
+		}
 	}
 	close(jobs)
+	logs := newLogShare(apps, len(models), cfg.Insts)
 
 	// Progress accounting: the counter increment and the callback share one
 	// mutex, so callbacks are serialized and observe strictly increasing
@@ -142,7 +147,9 @@ func Run(cfg Config) *Results {
 				} else {
 					m.Reset()
 				}
-				res.matrix[idx] = core.RunWarmOn(m, apps[idx%len(apps)], cfg.Insts)
+				a := idx % len(apps)
+				res.matrix[idx] = m.ReplayWarm(logs.get(a))
+				logs.done(a)
 				if cfg.Progress != nil {
 					progressMu.Lock()
 					done++
@@ -162,6 +169,65 @@ func Run(cfg Config) *Results {
 
 	res.finalizePMax()
 	return res
+}
+
+// logShare hands each application's selection log to that application's
+// model cells: the first cell to arrive records it (a cell that arrives
+// while it is being recorded waits in the same sync.Once) and the last
+// cell to finish puts its storage on the free list for a later
+// application.
+type logShare struct {
+	profs []workload.Profile
+	insts int
+	apps  []appLog
+
+	mu   sync.Mutex
+	free []*core.SelectionLog
+}
+
+// appLog is one application's log and the count of its cells that have
+// not yet replayed it.
+type appLog struct {
+	once sync.Once
+	log  *core.SelectionLog
+	left atomic.Int32
+}
+
+func newLogShare(profs []workload.Profile, cells, insts int) *logShare {
+	s := &logShare{profs: profs, insts: insts, apps: make([]appLog, len(profs))}
+	for i := range s.apps {
+		s.apps[i].left.Store(int32(cells))
+	}
+	return s
+}
+
+// get returns application a's log, recording it on first use.
+func (s *logShare) get(a int) *core.SelectionLog {
+	al := &s.apps[a]
+	al.once.Do(func() {
+		s.mu.Lock()
+		if n := len(s.free); n > 0 {
+			al.log = s.free[n-1]
+			s.free = s.free[:n-1]
+		} else {
+			al.log = new(core.SelectionLog)
+		}
+		s.mu.Unlock()
+		al.log.RecordWarm(s.profs[a], s.insts)
+	})
+	return al.log
+}
+
+// done marks one of application a's cells finished; the last one frees
+// the log.
+func (s *logShare) done(a int) {
+	al := &s.apps[a]
+	if al.left.Add(-1) == 0 {
+		s.mu.Lock()
+		s.free = append(s.free, al.log)
+		s.mu.Unlock()
+		al.log = nil
+	}
 }
 
 // finalizePMax derives the leakage anchor: P_MAX of the base model N,

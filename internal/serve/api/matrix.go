@@ -26,10 +26,10 @@ import (
 // the same canonical hashing as an in-process experiments.Run — or a
 // terminal "error" event.
 //
-// Cells are submitted in model-major order (the experiments fan-out's
-// machine-locality trick) and deduplicated per digest, so concurrent matrix
-// requests over the same spec share simulations instead of multiplying
-// them.
+// Cells are submitted in model-major order (so sched's model-affinity
+// batching finds cells for the machine a worker holds) and deduplicated
+// per digest, so concurrent matrix requests over the same spec share
+// simulations instead of multiplying them.
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	var req proto.MatrixRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {

@@ -10,8 +10,7 @@
 //     jobs always pop before batch (matrix fan-out) jobs;
 //   - model-affinity batching: among batch jobs, a worker prefers cells on
 //     the machine model it already holds, so the pooled machine is Reset
-//     and reused instead of re-fetched per cell (the same locality trick
-//     the experiments fan-out uses via model-major job order);
+//     and reused instead of re-fetched per cell;
 //   - bounded queues with explicit rejection (ErrQueueFull) instead of
 //     unbounded buffering, and per-caller context cancellation: a waiter
 //     that gives up stops waiting immediately, and a queued job whose

@@ -9,17 +9,23 @@ import (
 
 // DynInst is one committed dynamic instruction: the static instruction plus
 // its resolved control and memory behaviour.
+//
+// The three bools follow the three 8-byte fields so that they share one
+// word: 32 bytes instead of 40 (TestDynInstSize pins it). Every selector
+// slab copy and every recorded selection log pays this size per
+// instruction; trace files encode each field explicitly, so nothing
+// depends on the layout.
 type DynInst struct {
 	Inst *isa.Inst
-
-	// Taken is the resolved direction for CTI instructions.
-	Taken bool
 
 	// NextPC is the address of the dynamically following instruction.
 	NextPC uint64
 
 	// MemAddr is the effective address for memory instructions (0 if none).
 	MemAddr uint64
+
+	// Taken is the resolved direction for CTI instructions.
+	Taken bool
 
 	// HotPhase marks instructions generated inside a hot-loop episode.
 	// It is generator ground truth used for diagnostics only — the machine

@@ -2,9 +2,19 @@ package workload
 
 import (
 	"testing"
+	"unsafe"
 
 	"parrot/internal/isa"
 )
+
+// TestDynInstSize pins the packed layout of DynInst: the three bools share
+// the word after the three 8-byte fields. A field added or moved in front
+// of them grows every selection log and selector slab by a quarter.
+func TestDynInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(DynInst{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(DynInst{}) = %d bytes, want 32", got)
+	}
+}
 
 func TestAppsRoster(t *testing.T) {
 	apps := Apps()
