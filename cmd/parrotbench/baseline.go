@@ -5,7 +5,23 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+
+	"parrot/internal/experiments"
 )
+
+// loadSimBench reads a committed BENCH_simkernel.json.
+func loadSimBench(path string) (*simBenchReport, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
+	}
+	var base simBenchReport
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return nil, fmt.Errorf("baseline %s: %w", path, err)
+	}
+	return &base, nil
+}
 
 // runBaselineCheck is the CI perf-regression gate: it re-measures the
 // exact engine's steady full-matrix pass on one core (steadyPasses) and
@@ -19,13 +35,9 @@ import (
 //	go run ./cmd/parrotbench -checkbaseline BENCH_simkernel.json -n 50000
 //	go run ./cmd/parrotbench -checkbaseline BENCH_simkernel.json -tolerance 0.05
 func runBaselineCheck(path string, n int, tolerance float64, out io.Writer) error {
-	raw, err := os.ReadFile(path)
+	base, err := loadSimBench(path)
 	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var base simBenchReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
+		return err
 	}
 	var ref *matrixPass
 	for i := range base.MatrixPasses {
@@ -54,5 +66,42 @@ func runBaselineCheck(path string, n int, tolerance float64, out io.Writer) erro
 	}
 	fmt.Fprintf(out, "perf gate: OK (%+.1f%% vs baseline, tolerance %.0f%%)\n",
 		(ratio-1)*100, tolerance*100)
+	return nil
+}
+
+// runWorkCheck is the exact leg of the perf gate: it runs one 44x7 matrix
+// pass at the recorded budget and compares the kernel work counters against
+// the work block of the committed BENCH_simkernel.json. The counts depend on
+// the kernel alone, not on the host or its load, so any rise in ticks run —
+// a lost fast-forward, say — fails with no tolerance. A fall passes and is
+// reported, so the file can be re-recorded.
+//
+//	go run ./cmd/parrotbench -checkwork BENCH_simkernel.json
+func runWorkCheck(path string, out io.Writer) error {
+	base, err := loadSimBench(path)
+	if err != nil {
+		return err
+	}
+	if base.Work == nil {
+		return fmt.Errorf("baseline %s: no work block recorded", path)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	res := experiments.Run(experiments.Config{Insts: base.InstsPerApp, Parallelism: 1})
+	got, want := res.Work(), *base.Work
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"ticks run", got.Ticks, want.Ticks},
+		{"cycles skipped", got.Skipped, want.Skipped},
+		{"engine dispatches", got.Dispatches, want.Dispatches},
+	} {
+		fmt.Fprintf(out, "%-18s %12d (recorded %12d, %+.2f%%)\n", c.name, c.got, c.want,
+			(float64(c.got)/float64(c.want)-1)*100)
+	}
+	if got.Ticks > want.Ticks {
+		return fmt.Errorf("kernel work regression: %d ticks run, recorded %d", got.Ticks, want.Ticks)
+	}
+	fmt.Fprintln(out, "work gate: OK")
 	return nil
 }

@@ -20,6 +20,7 @@
 //	parrotbench -enginebench     # engine per-cycle micro-benchmark report (JSON)
 //	parrotbench -checkbaseline BENCH_simkernel.json   # CI perf-regression gate
 //	parrotbench -checkbaseline BENCH_simkernel.json -tolerance 0.05
+//	parrotbench -checkwork BENCH_simkernel.json       # exact kernel work counters
 //	parrotbench -progress        # live done/total + ETA on stderr
 //	parrotbench -remote URL      # serve the matrix from a parrotd instance
 //	parrotbench -cpuprofile f    # write a CPU profile (any mode)
@@ -125,6 +126,7 @@ func run() error {
 	procs := flag.Int("procs", 0, "with -simbench: add a matrix pass at GOMAXPROCS=N for multi-core scaling (0 = skip)")
 	enginebench := flag.Bool("enginebench", false, "measure engine micro-workloads and emit a JSON report")
 	checkBaseline := flag.String("checkbaseline", "", "perf gate: compare a fresh 1-proc steady matrix pass against this BENCH_simkernel.json")
+	checkWork := flag.String("checkwork", "", "exact gate: fail when a 1-proc matrix pass runs more ticks than this BENCH_simkernel.json's work block")
 	tolerance := flag.Float64("tolerance", 0.10, "max fractional sim-MIPS regression tolerated by -checkbaseline")
 	progress := flag.Bool("progress", false, "report matrix progress and ETA on stderr")
 	remote := flag.String("remote", "", "serve the matrix from a parrotd instance at this base URL (falls back to local when unreachable)")
@@ -146,6 +148,10 @@ func run() error {
 
 	if *checkBaseline != "" {
 		return runBaselineCheck(*checkBaseline, *n, *tolerance, os.Stdout)
+	}
+
+	if *checkWork != "" {
+		return runWorkCheck(*checkWork, os.Stdout)
 	}
 
 	if *enginebench {

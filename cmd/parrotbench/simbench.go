@@ -47,6 +47,11 @@ type simBenchReport struct {
 
 	Pool poolCounters `json:"pool"`
 
+	// Work is the steady pass's kernel work (core.Work, warm-up included),
+	// summed over every cell. It does not depend on the host, so
+	// -checkwork gates it exactly.
+	Work *core.Work `json:"work,omitempty"`
+
 	// SeedBaseline is the same matrix measurement taken before the
 	// zero-allocation kernel work (machine pooling, ring-buffer dispatch,
 	// slab-backed traces), kept in the report as the regression reference.
@@ -186,16 +191,18 @@ func timedMatrixPass(name string, cfg experiments.Config, procs int) (matrixPass
 // assists, not only on the simulator. -simbench records these passes and
 // -checkbaseline re-measures them, so both sides of the gate are the same
 // measurement.
-func steadyPasses(n int) (cold, steady matrixPass, apps int) {
+func steadyPasses(n int) (cold, steady matrixPass, res *experiments.Results) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := experiments.Config{Insts: n, Parallelism: 1}
-	cold, res := timedMatrixPass("cold", cfg, 1)
+	cold, _ = timedMatrixPass("cold", cfg, 1)
 	for i := 0; i < steadyRepeats; i++ {
-		if mp, _ := timedMatrixPass("steady", cfg, 1); mp.SimMIPS > steady.SimMIPS {
+		mp, r := timedMatrixPass("steady", cfg, 1)
+		if mp.SimMIPS > steady.SimMIPS {
 			steady = mp
 		}
+		res = r
 	}
-	return cold, steady, len(res.Apps())
+	return cold, steady, res
 }
 
 // runSimBench measures the kernel and writes the JSON report. procs > 1
@@ -218,9 +225,11 @@ func runSimBench(n, procs int, out io.Writer) error {
 			"allocations included.",
 	}
 
-	cold, steady, apps := steadyPasses(n)
+	cold, steady, res := steadyPasses(n)
 	rep.MatrixPasses = append(rep.MatrixPasses, cold, steady)
-	rep.Apps = apps
+	rep.Apps = len(res.Apps())
+	work := res.Work()
+	rep.Work = &work
 
 	if procs > 1 {
 		old := runtime.GOMAXPROCS(procs)

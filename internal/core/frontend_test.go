@@ -150,3 +150,73 @@ func TestHotSupplyBandwidth(t *testing.T) {
 		t.Error("new cycle must reset trace-fetch bandwidth")
 	}
 }
+
+// TestBlockedDispatchSkipMatchesTicks pins the dispatch-blocked
+// fast-forward. With the queue head held back by a full issue queue (a
+// stream of divides), a full ROB (independent adds behind a divide chain)
+// or, on the split model, a full cold engine while a register switch back
+// to it is pending, stepping through the windows in jumps leaves the
+// machine exactly where cycle-by-cycle ticks do — clock, switch energy and
+// every engine statistic, stall counts included — in fewer ticks.
+func TestBlockedDispatchSkipMatchesTicks(t *testing.T) {
+	div := func(d, s int) isa.Uop {
+		u := isa.NewUop(isa.OpDiv)
+		u.Dst[0], u.Src[0], u.Src[1] = isa.GPR(d), isa.GPR(s), isa.GPR(9)
+		return u
+	}
+	add := func(d int) isa.Uop {
+		u := isa.NewUop(isa.OpAdd)
+		u.Dst[0], u.Src[0], u.Src[1] = isa.GPR(d), isa.GPR(10), isa.GPR(11)
+		return u
+	}
+	for _, tc := range []struct {
+		name  string
+		model config.ModelID
+		item  func(i int) dispatchItem
+	}{
+		{"iq-full", config.N, func(i int) dispatchItem {
+			return dispatchItem{uop: div(i%8, 8)}
+		}},
+		{"rob-full", config.N, func(i int) dispatchItem {
+			if i%16 == 0 {
+				return dispatchItem{uop: div(8, 8)}
+			}
+			return dispatchItem{uop: add(i % 8)}
+		}},
+		{"split-switch", config.TOS, func(i int) dispatchItem {
+			if i >= 40 && i < 48 {
+				return dispatchItem{uop: add(i % 8), hot: true}
+			}
+			return dispatchItem{uop: div(i%8, 8)}
+		}},
+	} {
+		fill := func() *Machine {
+			m := New(config.Get(tc.model))
+			for i := 0; i < 400; i++ {
+				it := tc.item(i)
+				it.lastUop = true
+				m.enqueue(it)
+			}
+			return m
+		}
+		skip, tick := fill(), fill()
+		for skip.dqLen() > 0 {
+			skip.step()
+		}
+		for tick.dqLen() > 0 {
+			tick.tick()
+		}
+		if skip.clock != tick.clock || skip.cold.Stats != tick.cold.Stats ||
+			skip.hot.Stats != tick.hot.Stats || skip.countsHot != tick.countsHot {
+			t.Fatalf("%s: skipping diverged:\n skip clock %d %+v\n tick clock %d %+v",
+				tc.name, skip.clock, skip.cold.Stats, tick.clock, tick.cold.Stats)
+		}
+		if st := &skip.cold.Stats; st.StallROBFull == 0 && st.StallIQFull == 0 {
+			t.Fatalf("%s: no dispatch stalls (%+v)", tc.name, *st)
+		}
+		w, v := skip.Work(), tick.Work()
+		if w.Ticks >= v.Ticks || w.Ticks+w.Skipped != v.Ticks {
+			t.Errorf("%s: skip work %+v, tick work %+v", tc.name, w, v)
+		}
+	}
+}

@@ -70,7 +70,13 @@ func (m *Machine) execHot(seg *trace.Segment, tr *trace.Trace) {
 	k := 0
 	for i := range tr.Uops {
 		for !m.hotSupplyFree() || m.dqLen() > m.hotDQLimit {
-			m.tick()
+			// An exhausted supply budget frees after one tick, not at an
+			// engine event, so only back-pressure may skip.
+			if m.dqLen() > m.hotDQLimit {
+				m.step()
+			} else {
+				m.tick()
+			}
 		}
 		m.useHotSupply()
 		it := m.dqAlloc()

@@ -155,7 +155,31 @@ type Machine struct {
 	rec         *obs.Recorder
 	obsBase     obsBaseline
 	obsNextIval uint64
+
+	work Work
 }
+
+// Work counts the simulation kernel's own effort rather than the simulated
+// machine's: ticks run one by one, cycles fast-forwarded in proven-idle
+// windows, and uops handed to the engines. The counts depend on the kernel
+// and the inputs, never on the host, so a lost fast-forward shows as a rise
+// in Ticks with no timing noise. They are not part of a Result or a digest.
+type Work struct {
+	Ticks      uint64 `json:"ticks"`
+	Skipped    uint64 `json:"skipped_cycles"`
+	Dispatches uint64 `json:"dispatches"`
+}
+
+// Add accumulates o into w.
+func (w *Work) Add(o Work) {
+	w.Ticks += o.Ticks
+	w.Skipped += o.Skipped
+	w.Dispatches += o.Dispatches
+}
+
+// Work returns the kernel work done since construction or the last Reset,
+// warm-up included.
+func (m *Machine) Work() Work { return m.work }
 
 // New builds a machine for the given model configuration.
 func New(model config.Model) *Machine {
@@ -270,30 +294,35 @@ func (m *Machine) frontBlocked() bool {
 	return false
 }
 
-// frontStall advances the machine until the front-end unblocks. Provably
-// idle windows — empty dispatch queue and no engine able to complete, issue
-// or commit before some cycle T — are fast-forwarded in one jump instead of
-// being simulated cycle by cycle. Skipped cycles are bit-identical to the
-// no-op ticks they replace: every counter (engine Stats.Cycles, the machine
-// clock, the diagnostic stall attribution) advances exactly as if each cycle
-// had been executed.
+// frontStall advances the machine until the front-end unblocks.
 func (m *Machine) frontStall() {
 	for m.frontBlocked() {
-		if k := m.idleCycles(); k > 0 {
-			m.skipCycles(k)
-			continue
-		}
-		m.tick()
+		m.step()
 	}
 }
 
+// step advances the machine by one tick, or by a whole provably idle window
+// in one jump. Skipped cycles are bit-identical to the no-op ticks they
+// replace: every counter (engine Stats.Cycles and stall counts, the machine
+// clock, the diagnostic stall attribution, the recorder's stall events)
+// advances exactly as if each cycle had been executed.
+func (m *Machine) step() {
+	if k := m.idleCycles(); k > 0 {
+		m.skipCycles(k)
+		return
+	}
+	m.tick()
+}
+
 // idleCycles returns how many upcoming ticks are provably no-ops, or 0 when
-// the next tick may do real work. A tick is a no-op iff the dispatch queue
-// is empty and every engine's next event (completion, commit, issue) lies
-// beyond it; the count is additionally capped at the front-end stall timer
-// so frontBlocked is re-evaluated on exactly the cycle it could flip.
+// the next tick may do real work. A tick is a no-op iff dispatch cannot
+// progress — the queue is empty, or its head is held back by a full ROB or
+// issue queue (blockedOn) — and every engine's next event (completion,
+// commit, issue) lies beyond it: until that event no ROB or IQ entry frees.
+// The count is additionally capped at the front-end stall timer so
+// frontBlocked is re-evaluated on exactly the cycle it could flip.
 func (m *Machine) idleCycles() uint64 {
-	if m.dqLen() > 0 {
+	if m.dqLen() > 0 && m.blockedOn() == nil {
 		return 0
 	}
 	const never = ^uint64(0)
@@ -329,9 +358,40 @@ func (m *Machine) idleCycles() uint64 {
 	return k
 }
 
+// blockedOn returns the engine whose full ROB or issue queue holds back the
+// dispatch-queue head, or nil when the head can dispatch or waits on a
+// split-core register switch (whose countdown changes state). The queue
+// must be non-empty.
+func (m *Machine) blockedOn() *ooo.Engine {
+	it := m.dqFront()
+	eng := m.cold
+	if m.split {
+		if it.hot != m.lastDispatchHot {
+			return nil
+		}
+		if it.hot {
+			eng = m.hot
+		}
+	}
+	if eng.CanDispatch() {
+		return nil
+	}
+	return eng
+}
+
+// noteStalls records k dispatch cycles lost to eng's full ROB or IQ.
+func (m *Machine) noteStalls(eng *ooo.Engine, hot bool, k uint64) {
+	rob := eng.InFlight() >= eng.Config().ROBSize
+	eng.NoteStalls(rob, k)
+	if m.rec != nil {
+		m.rec.Stall(rob, m.split && hot, k)
+	}
+}
+
 // skipCycles advances clocks and per-cycle diagnostics by k cycles in one
 // step. Valid only for windows idleCycles proved to be no-ops.
 func (m *Machine) skipCycles(k uint64) {
+	m.work.Skipped += k
 	var fs uint64
 	if m.fetchStallUntil > m.clock+1 {
 		fs = m.fetchStallUntil - m.clock - 1
@@ -344,6 +404,10 @@ func (m *Machine) skipCycles(k uint64) {
 		m.diagResolve += k - fs
 	}
 	m.clock += k
+	if m.dqLen() > 0 {
+		// A dispatch-blocked window: each skipped tick records one stall.
+		m.noteStalls(m.blockedOn(), m.dqFront().hot, k)
+	}
 	m.cold.Skip(k)
 	if m.split {
 		m.hot.Skip(k)
@@ -355,6 +419,7 @@ func (m *Machine) skipCycles(k uint64) {
 
 // tick advances the machine one cycle: dispatch, then engine clocks.
 func (m *Machine) tick() {
+	m.work.Ticks++
 	m.clock++
 	if m.clock < m.fetchStallUntil {
 		m.diagFetchStall++
@@ -387,18 +452,11 @@ func (m *Machine) tick() {
 		}
 		if *budget == 0 || !eng.CanDispatch() {
 			if *budget > 0 {
-				rob := eng.InFlight() >= eng.Config().ROBSize
-				if rob {
-					eng.NoteStallROB()
-				} else {
-					eng.NoteStallIQ()
-				}
-				if m.rec != nil {
-					m.rec.Stall(rob, m.split && it.hot)
-				}
+				m.noteStalls(eng, it.hot, 1)
 			}
 			break
 		}
+		m.work.Dispatches++
 		h := eng.Dispatch(&it.uop, it.memAddr, it.lastUop, it.traceEnd)
 		if it.resolve {
 			m.pendingBranch = h
@@ -493,15 +551,8 @@ func (m *Machine) RunSource(src InstSource, prof workload.Profile) *Result {
 // drain empties the dispatch queue and both pipelines, fast-forwarding idle
 // stretches (e.g. a last long-latency load) in one jump.
 func (m *Machine) drain() {
-	for m.dqLen() > 0 {
-		m.tick()
-	}
-	for m.cold.InFlight() > 0 || (m.split && m.hot.InFlight() > 0) {
-		if k := m.idleCycles(); k > 0 {
-			m.skipCycles(k)
-			continue
-		}
-		m.tick()
+	for m.dqLen() > 0 || m.cold.InFlight() > 0 || (m.split && m.hot.InFlight() > 0) {
+		m.step()
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"parrot/internal/config"
 	"parrot/internal/obs"
+	"parrot/internal/ooo"
 	"parrot/internal/workload"
 )
 
@@ -52,7 +53,12 @@ func TestProbesPreserveResults(t *testing.T) {
 // spikes at boundaries), and skipped cycles never exceed the interval span.
 func TestSkipAttribution(t *testing.T) {
 	res, rec := scopeRun(t, config.TON, "swim", 40_000)
+	checkTiling(t, res, rec)
+}
 
+// checkTiling asserts the fast-forward accounting rules on one observed run.
+func checkTiling(t *testing.T, res *Result, rec *obs.Recorder) {
+	t.Helper()
 	ivs := rec.Series.Intervals
 	if len(ivs) < 3 {
 		t.Fatalf("only %d intervals", len(ivs))
@@ -102,6 +108,63 @@ func TestSkipAttribution(t *testing.T) {
 	rob, _ := rec.Series.Lane(0)
 	if rob.Total() != total {
 		t.Errorf("occupancy samples %d != cycles %d", rob.Total(), total)
+	}
+}
+
+// TestBlockedSkipRecorderParity pins that fast-forwarding dispatch-blocked
+// windows takes no second code path under observation. The observed run
+// does the same kernel work as an unobserved one (the windows are still
+// skipped), its bus carries one stall event per lost dispatch cycle —
+// exactly the engines' ROB-full and IQ-full counts, lane by lane — and its
+// intervals still tile the run.
+func TestBlockedSkipRecorderParity(t *testing.T) {
+	prof, _ := workload.ByName("swim")
+	for _, id := range []config.ModelID{config.TON, config.TOS} {
+		model := config.Get(id)
+		m := New(model)
+		rec := obs.NewRecorder(obs.Options{IntervalInsts: 500, MaxBusEvents: 1 << 24})
+		m.Attach(rec)
+		res := RunWarmOn(m, prof, 40_000)
+		plain := New(model)
+		RunWarmOn(plain, prof, 40_000)
+		if m.Work() != plain.Work() {
+			t.Errorf("%s: observed work %+v, unobserved %+v", id, m.Work(), plain.Work())
+		}
+		if rec.Bus.Dropped > 0 {
+			t.Fatalf("%s: bus dropped %d events", id, rec.Bus.Dropped)
+		}
+
+		// Count the measured window's stall events: those after the
+		// measurement-start marker, which ResetStats emits before zeroing
+		// the engine counters.
+		var rob, iq [2]uint64
+		measuring := false
+		rec.Bus.Each(func(e *obs.Event) {
+			switch {
+			case e.Kind == obs.KMeasureStart:
+				measuring = true
+			case e.Kind == obs.KStallROB && measuring:
+				rob[e.Lane]++
+			case e.Kind == obs.KStallIQ && measuring:
+				iq[e.Lane]++
+			}
+		})
+		t.Logf("%s: stall events rob=%v iq=%v, work %+v", id, rob, iq, m.Work())
+		lanes := []*ooo.Engine{m.cold}
+		if m.split {
+			lanes = append(lanes, m.hot)
+		}
+		for lane, eng := range lanes {
+			st := &eng.Stats
+			if rob[lane] != st.StallROBFull || iq[lane] != st.StallIQFull {
+				t.Errorf("%s lane %d: stall events rob=%d iq=%d, engine counts rob=%d iq=%d",
+					id, lane, rob[lane], iq[lane], st.StallROBFull, st.StallIQFull)
+			}
+		}
+		if rob[0]+iq[0]+rob[1]+iq[1] == 0 {
+			t.Errorf("%s: no dispatch stalls, so no blocked window was exercised", id)
+		}
+		checkTiling(t, res, rec)
 	}
 }
 

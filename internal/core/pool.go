@@ -79,6 +79,7 @@ func (m *Machine) Reset() {
 	m.rec = nil
 	m.obsBase = obsBaseline{}
 	m.obsNextIval = 0
+	m.work = Work{}
 }
 
 // PoolStats counts pool traffic (exposed for the throughput benchmarks).

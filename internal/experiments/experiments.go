@@ -56,6 +56,7 @@ type Results struct {
 	modelIdx map[config.ModelID]int // model ID -> matrix row
 	appIdx   map[string]int         // app name -> matrix column
 	matrix   []*core.Result         // len(models) * len(apps)
+	work     core.Work              // kernel work summed over every cell
 
 	// PMax is the highest average dynamic power of the base model N across
 	// the suite — the anchor of the leakage formula (§3.2). The paper
@@ -128,15 +129,20 @@ func Run(cfg Config) *Results {
 	start := time.Now()
 
 	var wg sync.WaitGroup
+	var workMu sync.Mutex
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			local := make(map[config.Model]*core.Machine, len(models))
+			var work core.Work
 			defer func() {
 				for _, m := range local {
 					core.DefaultPool.Put(m)
 				}
+				workMu.Lock()
+				res.work.Add(work)
+				workMu.Unlock()
 			}()
 			for idx := range jobs {
 				model := models[idx/len(apps)]
@@ -149,6 +155,7 @@ func Run(cfg Config) *Results {
 				}
 				a := idx % len(apps)
 				res.matrix[idx] = m.ReplayWarm(logs.get(a))
+				work.Add(m.Work())
 				logs.done(a)
 				if cfg.Progress != nil {
 					progressMu.Lock()
@@ -302,6 +309,11 @@ func (r *Results) Get(id config.ModelID, app string) *core.Result {
 	}
 	return r.matrix[mi*len(r.apps)+ai]
 }
+
+// Work returns the simulation kernel's work summed over every cell of the
+// matrix (core.Work). It is a property of the kernel, not of the results:
+// no digest or export includes it.
+func (r *Results) Work() core.Work { return r.work }
 
 // Apps returns the benchmark roster of this run.
 func (r *Results) Apps() []workload.Profile { return r.apps }

@@ -387,13 +387,17 @@ func (r *Recorder) TCEvict(key uint64) {
 	}
 }
 
-// Stall records a dispatch cycle lost to a full ROB or issue queue.
-func (r *Recorder) Stall(rob bool, hot bool) {
+// Stall records the last n dispatch cycles, up to and including the current
+// one, as lost to a full ROB or issue queue: one event per cycle, so a
+// fast-forwarded blocked window reads exactly like the ticks it replaced.
+func (r *Recorder) Stall(rob bool, hot bool, n uint64) {
 	k := KStallIQ
 	if rob {
 		k = KStallROB
 	}
-	r.Bus.Emit(k, r.now(), 0, 0, lane01(hot))
+	for c := r.now() - n + 1; c <= r.now(); c++ {
+		r.Bus.Emit(k, c, 0, 0, lane01(hot))
+	}
 }
 
 // MeasureStart marks the warmup/measurement boundary. The time series

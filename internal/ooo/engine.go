@@ -10,19 +10,21 @@
 // is the standard approximation for trace-driven simulators, which do not
 // execute wrong-path instructions.
 //
-// The per-cycle kernel is event-driven (PR 2): writeback drains a time wheel
-// bucketed by completion cycle instead of scanning an in-flight list; issue
-// selects from an age-ordered ready set fed by dependency-driven wakeup
-// instead of re-polling every issue-queue entry's sources against the ROB;
-// and provably idle windows can be skipped in one jump (Skip/NextEventAt).
-// All of it is bit-identical to the poll-everything engine it replaced — the
-// lock-in tests in this package and the experiment-matrix golden digest
-// enforce that.
+// The per-cycle kernel is event-driven: writeback drains a time wheel
+// bucketed by completion cycle instead of scanning an in-flight list; a
+// completing uop wakes its consumers through wakeup links kept inside the
+// ROB's own arrays instead of every issue-queue entry re-polling its sources;
+// issue selects the oldest ready uops by find-first-set over a ready bitmap
+// indexed by ROB slot; and provably idle windows can be skipped in one jump
+// (Skip/NextEventAt). All of it is bit-identical to the poll-everything
+// engine it replaced — the lock-in tests in this package and the
+// experiment-matrix golden digest enforce that.
 package ooo
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"parrot/internal/isa"
 	"parrot/internal/obs"
@@ -98,23 +100,26 @@ const never = ^uint64(0)
 
 type robEntry struct {
 	seq      Handle
+	memAddr  uint64
 	class    isa.ExecClass
-	nsrcLeft int8 // producers not yet completed; data-ready at zero
+	icls     isa.ExecClass // issue class: the unit pool the uop competes for
+	nsrcLeft int8          // producers not yet completed; data-ready at zero
 	done     bool
 	isStore  bool
 	isLoad   bool
 	lastUop  bool // last uop of its instruction (commit counts instructions)
 	traceEnd bool // last uop of an atomic trace
-	doneAt   uint64
-	memAddr  uint64
 
-	// deps are dispatched consumers whose wakeup counter this entry's
-	// completion decrements; waiters are loads parked on this (store) entry
-	// by memory disambiguation, re-readied when it completes. Both slices
-	// keep their capacity across slot reuse, so the steady-state engine
-	// allocates nothing.
-	deps    []Handle
-	waiters []Handle
+	// depHead heads the list of wakeup edges whose producer is this entry
+	// (linked through Engine.edgeNext); waitHead heads the chain of loads
+	// parked on this (store) entry by memory disambiguation, linked by slot
+	// through their waitNext; wheelNext links the uops of one completion
+	// wheel bucket. -1 ends a list. The lists live in the ROB's own arrays,
+	// so the engine never allocates for wakeup or writeback.
+	depHead   int32
+	waitHead  int32
+	waitNext  int32
+	wheelNext int32
 }
 
 // MemModel supplies data-access latency beyond the L1 hit, plus the upper
@@ -147,52 +152,60 @@ func (m funcMem) MaxDataLatency() int                    { return m.max }
 
 // overflowItem is a scheduled completion beyond the wheel horizon.
 type overflowItem struct {
-	h      Handle
+	slot   uint64
 	doneAt uint64
 }
 
 // Engine is one out-of-order core instance.
 //
 // All internal queues are preallocated at construction: the ROB is a
-// power-of-two array indexed by sequence number, the completion wheel is a
-// fixed ring of buckets, the ready set is a fixed-capacity sorted slice, and
-// the in-flight store list is a ring buffer popped in O(1) at commit (stores
-// retire strictly in program order). The steady-state cycle loop performs no
-// heap allocation and does work proportional to the events of the cycle, not
-// to the number of uops in flight.
+// power-of-two array indexed by sequence number, the ready set is a bitmap
+// over its slots, the wakeup lists are links inside the ROB's own arrays,
+// the completion wheel is a fixed ring of bucket heads whose lists are
+// linked through the ROB too, and the in-flight store
+// list is a ring buffer popped in O(1) at commit (stores retire strictly in
+// program order). The steady-state cycle loop performs no heap allocation
+// and does work proportional to the events of the cycle, not to the number
+// of uops in flight.
 type Engine struct {
 	cfg Config
 
 	rob     []robEntry // power-of-two sized, >= cfg.ROBSize
 	robMask uint64
-	head    Handle // oldest un-committed
-	tail    Handle // next sequence number
+	head    Handle              // oldest un-committed
+	tail    Handle              // next sequence number
 	rename  [isa.NumRegs]Handle // last writer; 0 = architectural file
 
 	// iqCnt models issue-queue occupancy (dispatched, not yet issued) for
 	// dispatch back-pressure; the queue itself is the ready set plus the
-	// per-entry wakeup lists.
+	// wakeup links.
 	iqCnt int
 
-	// readyQ holds data-ready, un-issued uops, one age-ordered queue per
-	// execution class. Issue merges the queue heads in ascending sequence
-	// order; when a class fails its structural check (per-cycle unit budget
-	// exhausted, non-pipelined divider busy) the whole queue is skipped for
-	// the rest of the cycle — legal because both checks are monotonic within
-	// a cycle, so every younger uop of the class would fail identically.
-	// Entries enter via dependency-driven wakeup and leave when issued or
-	// parked on a blocking store; an idle cycle therefore costs O(classes),
-	// independent of how many uops are in flight.
-	readyQ    [isa.NumExecClasses][]Handle
-	readyCnt  int
-	readyMask uint16 // bit c set iff readyQ[c] is non-empty
+	// edgeNext links wakeup edges. Edge slot*isa.MaxSrc+k stands for source
+	// k of the uop in ROB slot slot; edgeNext[edge] is the next edge on the
+	// same producer's list (robEntry.depHead), -1 at the end.
+	edgeNext []int32
 
-	// wheel is the completion time wheel: bucket doneAt&wheelMask holds the
-	// uops finishing at cycle doneAt. Writeback drains exactly one bucket
-	// per cycle, so its cost is O(completions this cycle). Completions
+	// ready has bit s set while the uop in ROB slot s is data-ready and
+	// un-issued; classBits[c] has bit s set while that slot's uop has issue
+	// class c. Slot order from the head's slot is age order, so issue takes
+	// the oldest ready uop by find-first-set. A class that fails its
+	// structural check (per-cycle unit budget exhausted, non-pipelined
+	// divider busy) is masked out of the cycle's candidates — legal because
+	// both checks are monotonic within a cycle, so every younger uop of the
+	// class would fail identically.
+	ready     []uint64
+	classBits [isa.NumExecClasses][]uint64
+	readyCnt  int
+
+	// wheel is the completion time wheel: bucket doneAt&wheelMask heads
+	// the list (robEntry.wheelNext, -1 = empty) of the ROB slots finishing
+	// at cycle doneAt. Writeback drains exactly one bucket per cycle, so
+	// its cost is O(completions this cycle); completion order within a
+	// cycle is immaterial, since wakeup only sets ready bits. Completions
 	// beyond the wheel horizon (possible only when a MemModel understates
 	// MaxDataLatency) wait in overflow.
-	wheel      [][]Handle
+	wheel      []int32
 	wheelMask  uint64
 	overflow   []overflowItem
 	pendingCnt int // uops executing (wheel + overflow)
@@ -277,41 +290,46 @@ func NewWithMem(cfg Config, mem MemModel) *Engine {
 	robLen := pow2(cfg.ROBSize)
 	storeLen := pow2(cfg.ROBSize)
 	wheelLen := pow2(maxClassLatency() + mem.MaxDataLatency() + 2)
+	words := (robLen + 63) / 64
 	e := &Engine{
 		cfg:       cfg,
 		rob:       make([]robEntry, robLen),
 		robMask:   uint64(robLen - 1),
+		edgeNext:  make([]int32, robLen*isa.MaxSrc),
+		ready:     make([]uint64, words),
 		stores:    make([]Handle, storeLen),
 		storeMask: storeLen - 1,
-		wheel:     make([][]Handle, wheelLen),
+		wheel:     make([]int32, wheelLen),
 		wheelMask: uint64(wheelLen - 1),
-		head:      1,
-		tail:      1,
 		mem:       mem,
 	}
-	for _, cls := range []isa.ExecClass{isa.ClassIntDiv, isa.ClassFPDiv} {
+	for cls := range e.classBits {
+		e.classBits[cls] = make([]uint64, words)
+	}
+	for _, cls := range divClasses {
 		e.divBusy[cls] = make([]uint64, cfg.Units[cls])
 	}
+	e.Reset()
 	return e
 }
 
+// divClasses are the classes executed by non-pipelined units.
+var divClasses = [...]isa.ExecClass{isa.ClassIntDiv, isa.ClassFPDiv}
+
 // Reset returns the engine to its just-constructed state, keeping every
-// preallocated structure (including the per-entry wakeup list slabs). A
-// reset engine produces bit-identical results to a freshly built one.
+// preallocated structure. A reset engine produces bit-identical results to a
+// freshly built one.
 func (e *Engine) Reset() {
-	for i := range e.rob {
-		en := &e.rob[i]
-		*en = robEntry{deps: en.deps[:0], waiters: en.waiters[:0]}
-	}
+	clear(e.rob)
 	e.head, e.tail = 1, 1
 	e.iqCnt = 0
-	for cls := range e.readyQ {
-		e.readyQ[cls] = e.readyQ[cls][:0]
+	clear(e.ready)
+	for cls := range e.classBits {
+		clear(e.classBits[cls])
 	}
 	e.readyCnt = 0
-	e.readyMask = 0
 	for i := range e.wheel {
-		e.wheel[i] = e.wheel[i][:0]
+		e.wheel[i] = -1
 	}
 	e.overflow = e.overflow[:0]
 	e.pendingCnt = 0
@@ -332,8 +350,13 @@ func (e *Engine) Reset() {
 // SetProbe attaches (or, with nil, detaches) a pipeline lifecycle probe.
 func (e *Engine) SetProbe(p *obs.PipeProbe) { e.probe = p }
 
-// divUnitFree returns a free non-pipelined unit index for cls, or -1.
-func (e *Engine) divUnitFree(cls isa.ExecClass) int {
+// unitFree returns the unit a class-cls uop would issue to: 0 for the
+// fully pipelined classes (no divBusy), else the first non-pipelined unit
+// whose busy time has passed, or -1.
+func (e *Engine) unitFree(cls isa.ExecClass) int {
+	if e.divBusy[cls] == nil {
+		return 0
+	}
 	for i, busy := range e.divBusy[cls] {
 		if busy <= e.now {
 			return i
@@ -377,31 +400,26 @@ func issueClass(c isa.ExecClass) isa.ExecClass {
 	return c
 }
 
-// readyPush inserts h into its class's age-ordered ready queue. The caller
-// supplies the (issue-normalized) class, which it already has from the ROB
-// slot in hand. Handles arrive mostly in ascending order (wakeups ripple
-// down the program), so the insertion point is found by a short scan from
-// the tail.
-func (e *Engine) readyPush(h Handle, cls isa.ExecClass) {
-	q := append(e.readyQ[cls], h)
-	i := len(q) - 1
-	for i > 0 && q[i-1] > h {
-		q[i] = q[i-1]
-		i--
-	}
-	q[i] = h
-	e.readyQ[cls] = q
+// setReady and clearReady move ROB slot s into and out of the ready set.
+func (e *Engine) setReady(s uint64) {
+	e.ready[s>>6] |= 1 << (s & 63)
 	e.readyCnt++
-	e.readyMask |= 1 << cls
 }
 
-// schedule enqueues a completion event lat cycles from now.
-func (e *Engine) schedule(h Handle, lat uint64) {
+func (e *Engine) clearReady(s uint64) {
+	e.ready[s>>6] &^= 1 << (s & 63)
+	e.readyCnt--
+}
+
+// schedule enqueues the completion of the uop in ROB slot s lat cycles
+// from now.
+func (e *Engine) schedule(s, lat uint64) {
 	if lat < uint64(len(e.wheel)) {
 		b := &e.wheel[(e.now+lat)&e.wheelMask]
-		*b = append(*b, h)
+		e.rob[s].wheelNext = *b
+		*b = int32(s)
 	} else {
-		e.overflow = append(e.overflow, overflowItem{h: h, doneAt: e.now + lat})
+		e.overflow = append(e.overflow, overflowItem{slot: s, doneAt: e.now + lat})
 	}
 	e.pendingCnt++
 }
@@ -409,30 +427,29 @@ func (e *Engine) schedule(h Handle, lat uint64) {
 // complete performs writeback for one uop: mark it done and wake everything
 // waiting on it — register consumers whose last producer this was, and loads
 // parked on this store by disambiguation.
-func (e *Engine) complete(h Handle) {
-	en := e.slot(h)
+func (e *Engine) complete(s uint64) {
+	en := &e.rob[s]
 	en.done = true
 	e.Stats.Wakeups++
 	e.pendingCnt--
 	if e.probe != nil {
-		e.probe.OnComplete(uint64(h), e.now)
+		e.probe.OnComplete(uint64(en.seq), e.now)
 	}
 	if en.isStore {
 		e.storePend--
 		e.storeAddrCnt[storeAddrHash(en.memAddr)]--
 	}
-	for _, d := range en.deps {
-		de := e.slot(d)
+	for ed := en.depHead; ed >= 0; ed = e.edgeNext[ed] {
+		s := uint64(ed) / isa.MaxSrc
+		de := &e.rob[s]
 		de.nsrcLeft--
 		if de.nsrcLeft == 0 {
-			e.readyPush(d, issueClass(de.class))
+			e.setReady(s)
 		}
 	}
-	en.deps = en.deps[:0]
-	for _, l := range en.waiters {
-		e.readyPush(l, issueClass(e.slot(l).class))
+	for s := en.waitHead; s >= 0; s = e.rob[s].waitNext {
+		e.setReady(uint64(s))
 	}
-	en.waiters = en.waiters[:0]
 }
 
 // Dispatch renames and inserts a uop, returning its handle. The caller must
@@ -442,32 +459,34 @@ func (e *Engine) complete(h Handle) {
 func (e *Engine) Dispatch(u *isa.Uop, memAddr uint64, lastUop, traceEnd bool) Handle {
 	h := e.tail
 	e.tail++
-	en := e.slot(h)
-	// Field-wise reinitialization: a composite-literal assignment would copy
-	// the whole (slice-bearing) struct through a temporary on every dispatch.
+	slot := uint64(h) & e.robMask
+	en := &e.rob[slot]
+	class := u.Op.Class()
+	cls := issueClass(class)
+	if old := en.icls; old != cls {
+		e.classBits[old][slot>>6] &^= 1 << (slot & 63)
+		e.classBits[cls][slot>>6] |= 1 << (slot & 63)
+	}
 	en.seq = h
-	en.class = u.Op.Class()
-	en.nsrcLeft = 0
-	en.done = false
-	en.isStore = false
-	en.isLoad = false
-	en.lastUop = lastUop
-	en.traceEnd = traceEnd
-	en.doneAt = 0
 	en.memAddr = 0
-	en.deps = en.deps[:0]
-	en.waiters = en.waiters[:0]
+	en.class, en.icls = class, cls
+	en.nsrcLeft = 0
+	en.done, en.isStore, en.isLoad = false, false, false
+	en.lastUop, en.traceEnd = lastUop, traceEnd
+	en.depHead, en.waitHead = -1, -1
 	if u.Src != noSources { // zero-operand uops skip the rename scan entirely
-		for _, s := range u.Src {
+		for k, s := range u.Src {
 			if s == isa.RegNone {
 				continue
 			}
 			e.Stats.RegReads++
 			if p := e.rename[s]; p != 0 {
 				if pe := e.slot(p); pe.seq == p && !pe.done {
-					// Live producer: register for wakeup instead of
-					// re-polling the ROB every cycle.
-					pe.deps = append(pe.deps, h)
+					// Live producer: link this source onto its wakeup list
+					// instead of re-polling the ROB every cycle.
+					ed := int32(slot)*isa.MaxSrc + int32(k)
+					e.edgeNext[ed] = pe.depHead
+					pe.depHead = ed
 					en.nsrcLeft++
 				}
 			}
@@ -493,7 +512,7 @@ func (e *Engine) Dispatch(u *isa.Uop, memAddr uint64, lastUop, traceEnd bool) Ha
 	}
 	e.iqCnt++
 	if en.nsrcLeft == 0 {
-		e.readyPush(h, issueClass(en.class))
+		e.setReady(slot)
 	}
 	e.Stats.UopsDispatched++
 	e.Stats.ROBWrites++
@@ -558,15 +577,15 @@ func (e *Engine) Cycle() (committedUops, committedInsts int, traceEnds int) {
 	// dependents. O(completions), not O(in-flight).
 	if e.pendingCnt > 0 {
 		b := &e.wheel[e.now&e.wheelMask]
-		for _, h := range *b {
-			e.complete(h)
+		for s := *b; s >= 0; s = e.rob[s].wheelNext {
+			e.complete(uint64(s))
 		}
-		*b = (*b)[:0]
+		*b = -1
 		if len(e.overflow) > 0 {
 			out := e.overflow[:0]
 			for _, it := range e.overflow {
 				if it.doneAt <= e.now {
-					e.complete(it.h)
+					e.complete(it.slot)
 				} else {
 					out = append(out, it)
 				}
@@ -607,176 +626,90 @@ func (e *Engine) Cycle() (committedUops, committedInsts int, traceEnds int) {
 		e.Stats.ROBReads += uint64(committedUops)
 	}
 
-	// Issue: merge the per-class ready queues in ascending age order, up to
-	// issue width and unit availability. Processing uops in global sequence
-	// order reproduces the age-ordered full-queue scan bit-identically
-	// (non-ready entries could never issue anyway); skipping a whole class
-	// after its first structural failure is exact because the per-cycle unit
-	// budget and the divider busy times are monotonic within the cycle.
-	// Consumption is strictly from each queue's head, so the consumed
-	// entries form a prefix compacted once at the end.
+	// Issue: the oldest ready uops first, up to issue width and unit
+	// availability. Age order is slot order starting at the head's slot, so
+	// the scan visits the head's word from the head bit up, the words after
+	// it (wrapping round), and last the head word's bits below the head bit,
+	// which hold the youngest, wrapped entries. It stops at the word holding
+	// the youngest in-flight uop.
 	if e.readyCnt > 0 {
 		var unitsUsed [isa.NumExecClasses]int
-		var qpos [isa.NumExecClasses]int
-		// active lists the classes still holding issue candidates; a class
-		// leaves it when its queue is exhausted or structurally blocked, so
-		// the merge scans only live queues (typically one or two). The
-		// non-empty set comes from the readyMask bitmap, so building it costs
-		// O(live classes), not O(classes). heads mirrors each live queue's
-		// current head so the min-scan reads a small local array instead of
-		// re-indexing the queues.
-		var active [isa.NumExecClasses]uint8
-		var heads [isa.NumExecClasses]Handle
-		na := 0
-		for mask := e.readyMask; mask != 0; mask &= mask - 1 {
-			cls := bits.TrailingZeros16(mask)
-			active[na] = uint8(cls)
-			heads[na] = e.readyQ[cls][0]
-			na++
+		var masked uint16 // classes masked out for the rest of the cycle
+		n := len(e.ready)
+		hs := uint64(e.head) & e.robMask
+		hw, hb := int(hs>>6), hs&63
+		ts := (hs + uint64(e.tail-e.head) - 1) & e.robMask // youngest's slot
+		last := int(ts>>6) - hw
+		if ts < hs {
+			last += n // wrapped
 		}
 		issued := 0
-		for issued < e.cfg.IssueWidth && na > 0 {
-			if na == 1 {
-				// Single live class (the common case): issue straight down
-				// its queue with no merge bookkeeping. Identical decisions
-				// to the general path — same head order, same structural
-				// checks, same side-effect order.
-				cls := isa.ExecClass(active[0])
-				q := e.readyQ[cls]
-				units := e.cfg.Units[cls]
-				div := e.divBusy[cls] != nil
-				p := qpos[cls]
-				for issued < e.cfg.IssueWidth && p < len(q) && unitsUsed[cls] < units {
-					bestH := q[p]
-					en := e.slot(bestH)
-					if en.isLoad {
-						if sh := e.blockingStore(en); sh != 0 {
-							se := e.slot(sh)
-							se.waiters = append(se.waiters, bestH)
-							p++
-							e.readyCnt--
-							continue
-						}
-					}
-					lat := en.class.Latency()
-					if div {
-						unit := e.divUnitFree(cls)
-						if unit < 0 {
-							break
-						}
-						e.divBusy[cls][unit] = e.now + uint64(lat)
-					}
-					if en.isLoad {
-						lat += e.mem.AccessData(en.memAddr, false)
-					}
-					if en.isStore {
-						e.mem.AccessData(en.memAddr, true)
-					}
-					en.doneAt = e.now + uint64(lat)
-					e.schedule(bestH, uint64(lat))
-					if e.probe != nil {
-						e.probe.OnIssue(uint64(bestH), e.now)
-					}
-					p++
-					e.readyCnt--
-					e.iqCnt--
-					unitsUsed[cls]++
-					issued++
-					e.Stats.OpsByClass[cls]++
+		for i := 0; i <= last && issued < e.cfg.IssueWidth; i++ {
+			w := (hw + i) & (n - 1)
+			b := e.ready[w] // this word's candidates
+			if i == 0 {
+				b &= ^uint64(0) << hb
+			} else if i == n {
+				b &= 1<<hb - 1
+			}
+			for m := masked; m != 0; m &= m - 1 {
+				b &^= e.classBits[bits.TrailingZeros16(m)][w]
+			}
+			for b != 0 && issued < e.cfg.IssueWidth {
+				bit := bits.TrailingZeros64(b)
+				b &^= 1 << bit
+				s := uint64(w<<6 | bit)
+				en := &e.rob[s]
+				cls := en.icls
+				unit := -1
+				if unitsUsed[cls] < e.cfg.Units[cls] {
+					unit = e.unitFree(cls)
 				}
-				qpos[cls] = p
-				break
-			}
-			// Oldest candidate among the live queue heads.
-			bi := 0
-			bestH := heads[0]
-			for i := 1; i < na; i++ {
-				if heads[i] < bestH {
-					bestH, bi = heads[i], i
-				}
-			}
-			cls := isa.ExecClass(active[bi])
-			if unitsUsed[cls] >= e.cfg.Units[cls] {
-				na--
-				active[bi] = active[na]
-				heads[bi] = heads[na]
-				continue
-			}
-			en := e.slot(bestH)
-			if en.isLoad {
-				if sh := e.blockingStore(en); sh != 0 {
-					// Park on the blocking store: the load leaves the ready
-					// set and re-enters when that store completes (it then
-					// re-checks for further blockers). Equivalent to the
-					// old per-cycle re-scan: the load still issues on the
-					// first cycle with no incomplete aliasing store.
-					se := e.slot(sh)
-					se.waiters = append(se.waiters, bestH)
-					qpos[cls]++
-					e.readyCnt--
-					if p := qpos[cls]; p == len(e.readyQ[cls]) {
-						na--
-						active[bi] = active[na]
-						heads[bi] = heads[na]
-					} else {
-						heads[bi] = e.readyQ[cls][p]
-					}
-					continue
-				}
-			}
-			lat := en.class.Latency()
-			if e.divBusy[cls] != nil {
-				unit := e.divUnitFree(cls)
 				if unit < 0 {
-					na--
-					active[bi] = active[na]
-					heads[bi] = heads[na]
+					// Both checks are monotonic within a cycle, so every
+					// younger uop of the class would fail too.
+					masked |= 1 << cls
+					b &^= e.classBits[cls][w]
 					continue
 				}
-				e.divBusy[cls][unit] = e.now + uint64(lat)
+				if en.isLoad {
+					if sh := e.blockingStore(en); sh != 0 {
+						// Park on the blocking store: the load leaves the ready
+						// set and re-enters when that store completes (it then
+						// re-checks for further blockers). Equivalent to the
+						// old per-cycle re-scan: the load still issues on the
+						// first cycle with no incomplete aliasing store.
+						se := e.slot(sh)
+						en.waitNext = se.waitHead
+						se.waitHead = int32(s)
+						e.clearReady(s)
+						continue
+					}
+				}
+				lat := en.class.Latency()
+				if e.divBusy[cls] != nil {
+					e.divBusy[cls][unit] = e.now + uint64(lat)
+				}
+				if en.isLoad {
+					lat += e.mem.AccessData(en.memAddr, false)
+				}
+				if en.isStore {
+					e.mem.AccessData(en.memAddr, true)
+				}
+				e.schedule(s, uint64(lat))
+				if e.probe != nil {
+					e.probe.OnIssue(uint64(en.seq), e.now)
+				}
+				e.clearReady(s)
+				e.iqCnt--
+				unitsUsed[cls]++
+				issued++
+				e.Stats.OpsByClass[cls]++
 			}
-			if en.isLoad {
-				lat += e.mem.AccessData(en.memAddr, false)
-			}
-			if en.isStore {
-				e.mem.AccessData(en.memAddr, true)
-			}
-			en.doneAt = e.now + uint64(lat)
-			e.schedule(bestH, uint64(lat))
-			if e.probe != nil {
-				e.probe.OnIssue(uint64(bestH), e.now)
-			}
-			qpos[cls]++
-			e.readyCnt--
-			if p := qpos[cls]; p == len(e.readyQ[cls]) {
-				na--
-				active[bi] = active[na]
-				heads[bi] = heads[na]
-			} else {
-				heads[bi] = e.readyQ[cls][p]
-			}
-			e.iqCnt--
-			unitsUsed[cls]++
-			issued++
-			e.Stats.OpsByClass[cls]++
 		}
 		if issued > 0 {
 			e.Stats.UopsIssued += uint64(issued)
 			e.Stats.ROBReads += uint64(issued)
-		}
-		// Compact consumed prefixes. readyMask is unchanged during the merge
-		// (nothing is pushed while issuing), so it still covers exactly the
-		// classes that could have been consumed from.
-		for mask := e.readyMask; mask != 0; mask &= mask - 1 {
-			cls := bits.TrailingZeros16(mask)
-			if p := qpos[cls]; p > 0 {
-				q := e.readyQ[cls]
-				q = q[:copy(q, q[p:])]
-				e.readyQ[cls] = q
-				if len(q) == 0 {
-					e.readyMask &^= 1 << cls
-				}
-			}
 		}
 	}
 
@@ -797,33 +730,29 @@ func (e *Engine) NextEventAt() uint64 {
 	}
 	t := uint64(never)
 	if e.readyCnt > 0 {
-		for mask := e.readyMask; mask != 0; mask &= mask - 1 {
-			cls := bits.TrailingZeros16(mask)
-			if e.divBusy[cls] == nil {
-				// Pipelined class: the head can issue (or a load can park,
-				// which also mutates state) on the very next cycle.
-				return e.now + 1
-			}
-			// Non-pipelined divider: the next chance is the earliest unit
-			// release (divUnitFree tests busy <= now).
-			u := e.divBusy[cls][0]
-			for _, b := range e.divBusy[cls][1:] {
-				if b < u {
-					u = b
+		// A ready uop of a pipelined class issues (or a load parks, which
+		// also mutates state) on the very next cycle. A ready divide's next
+		// chance is its class's earliest unit release (unitFree tests
+		// busy <= now).
+		for w, r := range e.ready {
+			for _, cls := range divClasses {
+				if d := r & e.classBits[cls][w]; d != 0 {
+					r &^= d
+					t = min(t, slices.Min(e.divBusy[cls]))
 				}
 			}
-			if u <= e.now {
+			if r != 0 {
 				return e.now + 1
 			}
-			if u < t {
-				t = u
-			}
+		}
+		if t <= e.now {
+			return e.now + 1
 		}
 	}
 	if e.pendingCnt > 0 {
 		n := uint64(len(e.wheel))
 		for d := uint64(1); d <= n; d++ {
-			if len(e.wheel[(e.now+d)&e.wheelMask]) > 0 {
+			if e.wheel[(e.now+d)&e.wheelMask] >= 0 {
 				if e.now+d < t {
 					t = e.now + d
 				}
@@ -863,8 +792,12 @@ func (e *Engine) Drain() (insts, traceEnds int) {
 	return insts, traceEnds
 }
 
-// NoteStallROB and NoteStallIQ let the front-end record dispatch stalls.
-func (e *Engine) NoteStallROB() { e.Stats.StallROBFull++ }
-
-// NoteStallIQ records an issue-queue-full dispatch stall.
-func (e *Engine) NoteStallIQ() { e.Stats.StallIQFull++ }
+// NoteStalls lets the front-end record k dispatch cycles lost to a full ROB
+// (rob) or a full issue queue.
+func (e *Engine) NoteStalls(rob bool, k uint64) {
+	if rob {
+		e.Stats.StallROBFull += k
+	} else {
+		e.Stats.StallIQFull += k
+	}
+}

@@ -2,9 +2,12 @@ package ooo
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"parrot/internal/isa"
+	"parrot/internal/obs"
 )
 
 // The tests in this file lock in the bit-exact behaviour of the
@@ -222,5 +225,134 @@ func TestAliasingLoadOrderedAfterStoreAtWrap(t *testing.T) {
 	}
 	if iDone >= lDone {
 		t.Fatalf("independent load (done %d) waited with the aliasing load (done %d)", iDone, lDone)
+	}
+}
+
+// randomProgram builds a seeded program of n uops that exercises every issue
+// decision the select logic makes: every execution class (both non-pipelined
+// dividers and nops included), fused and SIMD uops whose two sources name the
+// same producer, loads and stores over a small aliasing address pool, and
+// flag producers feeding branches. Registers come from a small pool so
+// dependency chains are dense. The address pool sets memory latency, so the
+// completion order of loads varies too.
+func randomProgram(seed int64, n int) (prog []isa.Uop, addrs []uint64) {
+	r := rand.New(rand.NewSource(seed))
+	ops := []isa.Op{
+		isa.OpNop, isa.OpAdd, isa.OpAddImm, isa.OpMul,
+		isa.OpFAdd, isa.OpFMul, isa.OpLoad, isa.OpLoad,
+		isa.OpStore, isa.OpStore, isa.OpCmp, isa.OpBr,
+		isa.OpFusedAluAlu, isa.OpFusedFP, isa.OpSimd2,
+	}
+	gpr := func() isa.Reg { return isa.GPR(r.Intn(8)) }
+	fpr := func() isa.Reg { return isa.FPR(r.Intn(4)) }
+	for i := 0; i < n; i++ {
+		op := ops[r.Intn(len(ops))]
+		if r.Intn(24) == 0 {
+			// Divides are rare, so the dividers contend without pacing
+			// the whole program.
+			op = [2]isa.Op{isa.OpDiv, isa.OpFDiv}[r.Intn(2)]
+		}
+		u := isa.NewUop(op)
+		var addr uint64
+		switch op {
+		case isa.OpNop:
+		case isa.OpAdd, isa.OpMul, isa.OpDiv:
+			u.Dst[0], u.Src[0], u.Src[1] = gpr(), gpr(), gpr()
+		case isa.OpAddImm:
+			u.Dst[0], u.Src[0] = gpr(), gpr()
+		case isa.OpFAdd, isa.OpFMul, isa.OpFDiv:
+			u.Dst[0], u.Src[0], u.Src[1] = fpr(), fpr(), fpr()
+		case isa.OpLoad:
+			u.Dst[0], u.Src[0] = gpr(), gpr()
+			addr = uint64(0x1000 + r.Intn(16)*64)
+		case isa.OpStore:
+			u.Src[0], u.Src[1] = gpr(), gpr()
+			addr = uint64(0x1000 + r.Intn(16)*64)
+		case isa.OpCmp:
+			u.Dst[0], u.Src[0], u.Src[1] = isa.RegFlags, gpr(), gpr()
+		case isa.OpBr:
+			u.Src[0] = isa.RegFlags
+		case isa.OpFusedAluAlu, isa.OpSimd2:
+			// Two sources naming one producer: two wakeup edges from it.
+			s := gpr()
+			u.Dst[0], u.Src[0], u.Src[1], u.Src[2] = gpr(), s, s, gpr()
+			if op == isa.OpSimd2 {
+				u.Dst[1], u.Src[3] = gpr(), gpr()
+			}
+		case isa.OpFusedFP:
+			s := fpr()
+			u.Dst[0], u.Src[0], u.Src[1], u.Src[2] = fpr(), s, s, fpr()
+		}
+		prog = append(prog, u)
+		addrs = append(addrs, addr)
+	}
+	return prog, addrs
+}
+
+// pipeHash digests every recorded uop's issue and complete cycles.
+func pipeHash(p *obs.PipeProbe) uint64 {
+	h := fnv.New64a()
+	p.Each(func(r *obs.UopRec) {
+		fmt.Fprintf(h, "%d:%d:%d;", r.Seq, r.Issue, r.Complete)
+	})
+	return h.Sum64()
+}
+
+// smallROB has 24 ROB entries: 32 slots, fewer than one 64-bit word.
+func smallROB() Config {
+	c := Narrow()
+	c.ROBSize, c.IQSize = 24, 16
+	return c
+}
+
+// goldenSelectOrder was captured on the per-class ready-queue engine, before
+// issue select moved to a ready bitmap over ROB slots: the full statistics
+// vector plus a hash of every uop's issue and complete cycles.
+var goldenSelectOrder = map[string]string{
+	"narrow/seed1": "cyc=1534 disp=3000 iss=3000 com=3000 rr=5601 rw=2390 wake=3000 robw=3000 robr=6000 cls=[0 1155 165 46 168 413 62 390 403 198] pipe=5b8ba6c09e9e23b4",
+	"narrow/seed2": "cyc=1797 disp=3000 iss=3000 com=3000 rr=5655 rw=2439 wake=3000 robw=3000 robr=6000 cls=[0 1126 188 55 202 418 66 372 385 188] pipe=3e74a24fe368631e",
+	"narrow/seed3": "cyc=1726 disp=3000 iss=3000 com=3000 rr=5644 rw=2445 wake=3000 robw=3000 robr=6000 cls=[0 1149 187 57 190 407 64 381 370 195] pipe=7ade526975c1881a",
+	"wide/seed1":   "cyc=1357 disp=3000 iss=3000 com=3000 rr=5601 rw=2390 wake=3000 robw=3000 robr=6000 cls=[0 1155 165 46 168 413 62 390 403 198] pipe=17bee15866efaa5f",
+	"wide/seed2":   "cyc=1605 disp=3000 iss=3000 com=3000 rr=5655 rw=2439 wake=3000 robw=3000 robr=6000 cls=[0 1126 188 55 202 418 66 372 385 188] pipe=813eda6668593af5",
+	"wide/seed3":   "cyc=1544 disp=3000 iss=3000 com=3000 rr=5644 rw=2445 wake=3000 robw=3000 robr=6000 cls=[0 1149 187 57 190 407 64 381 370 195] pipe=9c957abf6e340722",
+	"rob24/seed1":  "cyc=2099 disp=3000 iss=3000 com=3000 rr=5601 rw=2390 wake=3000 robw=3000 robr=6000 cls=[0 1155 165 46 168 413 62 390 403 198] pipe=f592a1c4b16da0fa",
+	"rob24/seed2":  "cyc=2232 disp=3000 iss=3000 com=3000 rr=5655 rw=2439 wake=3000 robw=3000 robr=6000 cls=[0 1126 188 55 202 418 66 372 385 188] pipe=7f4374a2857707d4",
+	"rob24/seed3":  "cyc=2118 disp=3000 iss=3000 com=3000 rr=5644 rw=2445 wake=3000 robw=3000 robr=6000 cls=[0 1149 187 57 190 407 64 381 370 195] pipe=510a49f7de1840b0",
+}
+
+// TestSelectOrderLockIn pins issue select bit-exactly on seeded random
+// programs longer than any ROB, so slots, the store ring and the
+// select-order scan all wrap. Oldest-first order across classes, and skipping
+// a class for the rest of the cycle once its units or divider are taken,
+// must both hold for the goldens to match.
+func TestSelectOrderLockIn(t *testing.T) {
+	lat := func(addr uint64, write bool) int {
+		if write {
+			return 0
+		}
+		return int(addr>>6) % 3 * 4
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"narrow", Narrow()},
+		{"wide", Wide()},
+		{"rob24", smallROB()},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("%s/seed%d", tc.name, seed)
+			t.Run(name, func(t *testing.T) {
+				prog, addrs := randomProgram(seed, 3000)
+				e := New(tc.cfg, lat)
+				rec := obs.NewRecorder(obs.Options{MaxPipeUops: len(prog)})
+				e.SetProbe(rec.Pipe(0))
+				run(e, prog, addrs)
+				got := fmt.Sprintf("%s pipe=%016x", statsKey(e.Stats), pipeHash(rec.Pipe(0)))
+				if want := goldenSelectOrder[name]; got != want {
+					t.Errorf("select order diverged:\n got  %s\n want %s", got, want)
+				}
+			})
+		}
 	}
 }
