@@ -70,11 +70,13 @@ func runBaselineCheck(path string, n int, tolerance float64, out io.Writer) erro
 }
 
 // runWorkCheck is the exact leg of the perf gate: it runs one 44x7 matrix
-// pass at the recorded budget and compares the kernel work counters against
-// the work block of the committed BENCH_simkernel.json. The counts depend on
-// the kernel alone, not on the host or its load, so any rise in ticks run —
-// a lost fast-forward, say — fails with no tolerance. A fall passes and is
-// reported, so the file can be re-recorded.
+// pass at the recorded budget and compares the kernel work counters, and
+// the allocations of generating the programs, against the work block of
+// the committed BENCH_simkernel.json. The counts depend on the code alone,
+// not on the host or its load, so any rise in ticks run (a lost
+// fast-forward, say) or in generation allocations (a generator that
+// allocates per instruction again) fails with no tolerance. A fall passes
+// and is reported, so the file can be re-recorded.
 //
 //	go run ./cmd/parrotbench -checkwork BENCH_simkernel.json
 func runWorkCheck(path string, out io.Writer) error {
@@ -87,7 +89,7 @@ func runWorkCheck(path string, out io.Writer) error {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	res := experiments.Run(experiments.Config{Insts: base.InstsPerApp, Parallelism: 1})
-	got, want := res.Work(), *base.Work
+	got, want := workBlock{Work: res.Work(), GenerateAllocs: generateAllocs()}, *base.Work
 	for _, c := range []struct {
 		name      string
 		got, want uint64
@@ -95,12 +97,16 @@ func runWorkCheck(path string, out io.Writer) error {
 		{"ticks run", got.Ticks, want.Ticks},
 		{"cycles skipped", got.Skipped, want.Skipped},
 		{"engine dispatches", got.Dispatches, want.Dispatches},
+		{"generate allocs", got.GenerateAllocs, want.GenerateAllocs},
 	} {
 		fmt.Fprintf(out, "%-18s %12d (recorded %12d, %+.2f%%)\n", c.name, c.got, c.want,
 			(float64(c.got)/float64(c.want)-1)*100)
 	}
 	if got.Ticks > want.Ticks {
 		return fmt.Errorf("kernel work regression: %d ticks run, recorded %d", got.Ticks, want.Ticks)
+	}
+	if got.GenerateAllocs > want.GenerateAllocs {
+		return fmt.Errorf("generation regression: %d allocations, recorded %d", got.GenerateAllocs, want.GenerateAllocs)
 	}
 	fmt.Fprintln(out, "work gate: OK")
 	return nil

@@ -147,6 +147,7 @@ func engineRun(e *ooo.Engine, prog []isa.Uop, addrs []uint64) {
 // engineMeasure times repeated pooled runs of one program and returns
 // ns/cycle plus the deterministic per-run cycle count.
 func engineMeasure(prog []isa.Uop, addrs []uint64, mem func(uint64, bool) int) (nsPerCycle float64, cyclesPerRun uint64) {
+	isa.Decode(prog)
 	e := ooo.New(ooo.Narrow(), mem)
 	engineRun(e, prog, addrs) // warm the slabs
 	cyclesPerRun = e.Stats.Cycles

@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"parrot"
 	"parrot/internal/config"
 	"parrot/internal/core"
 	"parrot/internal/experiments"
+	"parrot/internal/workload"
 )
 
 // simBenchReport is the schema of BENCH_simkernel.json: the exact
@@ -48,9 +50,10 @@ type simBenchReport struct {
 	Pool poolCounters `json:"pool"`
 
 	// Work is the steady pass's kernel work (core.Work, warm-up included),
-	// summed over every cell. It does not depend on the host, so
-	// -checkwork gates it exactly.
-	Work *core.Work `json:"work,omitempty"`
+	// summed over every cell, and the allocations of synthesizing the
+	// programs. None of it depends on the host, so -checkwork gates it
+	// exactly.
+	Work *workBlock `json:"work,omitempty"`
 
 	// SeedBaseline is the same matrix measurement taken before the
 	// zero-allocation kernel work (machine pooling, ring-buffer dispatch,
@@ -67,6 +70,15 @@ type simBenchReport struct {
 	PR4Baseline seedBaseline `json:"pr4_baseline"`
 
 	Notes string `json:"notes,omitempty"`
+}
+
+// workBlock is the report's exact work counters.
+type workBlock struct {
+	core.Work
+
+	// GenerateAllocs is generateAllocs: the heap allocations of one
+	// sequential generation of every application's program.
+	GenerateAllocs uint64 `json:"generate_allocs"`
 }
 
 type seedBaseline struct {
@@ -156,6 +168,25 @@ func (d *memDelta) stop() (allocs, bytes uint64) {
 	return m1.Mallocs - d.m0.Mallocs, m1.TotalAlloc - d.m0.TotalAlloc
 }
 
+// generateAllocs counts the heap allocations of generating every
+// application's program once, sequentially, after one warm-up generation.
+// The caller pins GOMAXPROCS=1, and the collector is off while counting, so
+// the generator's recycled scratch state is never dropped mid-count and the
+// figure depends on the generator alone.
+func generateAllocs() uint64 {
+	gen := func() {
+		for _, p := range workload.Apps() {
+			workload.Generate(p)
+		}
+	}
+	gen()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	d := startMemDelta()
+	gen()
+	allocs, _ := d.stop()
+	return allocs
+}
+
 // steadyRepeats is how many steady passes steadyPasses times. The best is
 // kept: the fastest pass is the one least perturbed by unrelated load, and
 // a genuine kernel regression slows every pass.
@@ -228,8 +259,9 @@ func runSimBench(n, procs int, out io.Writer) error {
 	cold, steady, res := steadyPasses(n)
 	rep.MatrixPasses = append(rep.MatrixPasses, cold, steady)
 	rep.Apps = len(res.Apps())
-	work := res.Work()
-	rep.Work = &work
+	old := runtime.GOMAXPROCS(1)
+	rep.Work = &workBlock{Work: res.Work(), GenerateAllocs: generateAllocs()}
+	runtime.GOMAXPROCS(old)
 
 	if procs > 1 {
 		old := runtime.GOMAXPROCS(procs)

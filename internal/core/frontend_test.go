@@ -7,6 +7,13 @@ import (
 	"parrot/internal/isa"
 )
 
+// enqueue decodes a prebuilt item's uop, as every uop writer does, and
+// pushes the item toward dispatch.
+func (m *Machine) enqueue(it dispatchItem) {
+	it.uop.Decode()
+	*m.dqAlloc() = it
+}
+
 func mkSimpleInst(pc uint64, nUops int) *isa.Inst {
 	in := &isa.Inst{PC: pc, Size: 4, Kind: isa.KindSimple}
 	for i := 0; i < nUops; i++ {
@@ -19,6 +26,7 @@ func mkSimpleInst(pc uint64, nUops int) *isa.Inst {
 	if nUops > 2 {
 		in.Kind = isa.KindComplex
 	}
+	in.Decode()
 	return in
 }
 
@@ -90,6 +98,9 @@ func TestFrontBlockedOnPendingBranch(t *testing.T) {
 	br := isa.NewUop(isa.OpBr)
 	br.Src[0] = isa.RegFlags
 	br.Cond = isa.CondEQ
+	div.Decode()
+	cmp.Decode()
+	br.Decode()
 	m.cold.Dispatch(&div, 0, true, false)
 	m.cold.Dispatch(&cmp, 0, true, false)
 	h := m.cold.Dispatch(&br, 0, true, false)

@@ -36,24 +36,19 @@ func (m *Machine) execHot(seg *trace.Segment, tr *trace.Trace) {
 	// executed hot, so occasional cold executions of the same code are not
 	// handicapped by stale tables. Lookups and mispredictions are not
 	// counted: the hot pipeline is steered by the trace predictor.
+	//
+	// The same pass collects the instance's memory addresses in uop order
+	// (each instruction's decoded MemUops), into a scratch buffer reused
+	// across segments (the steady-state hot loop allocates nothing).
+	addrs := m.addrScratch[:0]
 	for i := range seg.Insts {
 		d := &seg.Insts[i]
 		if d.Inst.Kind == isa.KindBranch {
 			m.bp.Update(d.Inst.PC, d.Taken)
 			m.counts.Add(energy.EvBPUpdate, 1)
 		}
-	}
-
-	// Collect the instance's memory addresses in uop order, into a scratch
-	// buffer reused across segments (the steady-state hot loop allocates
-	// nothing).
-	addrs := m.addrScratch[:0]
-	for i := range seg.Insts {
-		d := &seg.Insts[i]
-		for _, u := range d.Inst.Uops {
-			if u.Op.IsMem() {
-				addrs = append(addrs, d.MemAddr)
-			}
+		for k := d.Inst.MemUops; k > 0; k-- {
+			addrs = append(addrs, d.MemAddr)
 		}
 	}
 	m.addrScratch = addrs

@@ -37,6 +37,35 @@ func selectionShape(prof workload.Profile, n, warm int) (joinedAtWarm bool, flus
 	return joinedAtWarm, len(sel.Flush())
 }
 
+// checkSegmentFacts checks the log's copies of the selector's segment
+// facts: each segment's uop and memory-uop counts, joined segments
+// included, equal a recount over its instructions in the arena.
+func checkSegmentFacts(t *testing.T, l *SelectionLog) {
+	t.Helper()
+	joined := 0
+	for _, seg := range l.segs {
+		uops, mem := 0, 0
+		for _, d := range seg.Insts {
+			uops += len(d.Inst.Uops)
+			for _, u := range d.Inst.Uops {
+				if u.Op.IsMem() {
+					mem++
+				}
+			}
+		}
+		if uops != seg.Uops || mem != seg.MemUops {
+			t.Fatalf("%s: logged segment %v counts %d uops, %d memory uops; recount %d, %d",
+				l.prof.Name, seg.TID, seg.Uops, seg.MemUops, uops, mem)
+		}
+		if seg.Joined > 1 {
+			joined++
+		}
+	}
+	if joined == 0 {
+		t.Fatalf("%s: the log holds no joined segment", l.prof.Name)
+	}
+}
+
 // TestReplayMatchesStreaming is the equivalence gate of the selection log:
 // for every model, replaying a recorded log gives exactly the result of
 // RunSourceWarm over the same stream. reflect.DeepEqual compares every
@@ -77,6 +106,7 @@ func TestReplayMatchesStreaming(t *testing.T) {
 
 		prog := workload.GenerateCached(prof)
 		log.Record(workload.NewStream(prog, c.n), prof, c.n, warm)
+		checkSegmentFacts(t, &log)
 		for i, model := range models {
 			stream[i].Reset()
 			replay[i].Reset()

@@ -235,15 +235,10 @@ func (m *Machine) Model() config.Model { return m.model }
 // dqLen returns the number of queued dispatch items.
 func (m *Machine) dqLen() int { return int(m.dqTail - m.dqHead) }
 
-// dqPush enqueues one item, doubling the ring when full (rare: the queue is
-// bounded by front-end back-pressure plus one instruction's uops).
-func (m *Machine) dqPush(it dispatchItem) {
-	*m.dqAlloc() = it
-}
-
 // dqAlloc reserves the next ring slot and returns it zeroed, so the decoders
 // fill dispatch items in place instead of building them locally and copying
-// them into the ring.
+// them into the ring. The ring doubles when full (rare: the queue is bounded
+// by front-end back-pressure plus one instruction's uops).
 func (m *Machine) dqAlloc() *dispatchItem {
 	if m.dqLen() == len(m.dq) {
 		m.dqGrow()
@@ -497,12 +492,6 @@ func (m *Machine) creditTraces(traceEnds int) {
 	}
 }
 
-// enqueue pushes a prebuilt item toward dispatch (testing helper; the
-// decoders fill ring slots in place via dqAlloc).
-func (m *Machine) enqueue(it dispatchItem) {
-	m.dqPush(it)
-}
-
 // InstSource supplies a committed dynamic instruction stream. The synthetic
 // workload walker implements it; so does the trace-file reader, which lets
 // the simulator replay externally captured streams.
@@ -634,18 +623,7 @@ func (m *Machine) execSegment(seg *trace.Segment) {
 // traceMatches guards against TID hash collisions and stale frames: the
 // resident trace must describe exactly this dynamic segment.
 func (m *Machine) traceMatches(tr *trace.Trace, seg *trace.Segment) bool {
-	if tr.NumInsts != seg.NumInsts() {
-		return false
-	}
-	memUops := 0
-	for _, d := range seg.Insts {
-		for _, u := range d.Inst.Uops {
-			if u.Op.IsMem() {
-				memUops++
-			}
-		}
-	}
-	return memUops == tr.MemOps
+	return tr.NumInsts == seg.NumInsts() && tr.MemOps == seg.MemUops
 }
 
 // traceAbort models a trace misprediction: the wrongly predicted trace

@@ -5,6 +5,7 @@ import (
 
 	"parrot/internal/config"
 	"parrot/internal/energy"
+	"parrot/internal/isa"
 	"parrot/internal/trace"
 	"parrot/internal/workload"
 )
@@ -218,6 +219,52 @@ func TestTraceMatchGuardsCollisions(t *testing.T) {
 	}
 	if other != nil && m.traceMatches(tr, other) {
 		t.Error("trace matched a differently-shaped segment")
+	}
+}
+
+// TestTraceFormsDecoded checks the trace half of the decode-once
+// invariant: right after every write of a trace — construction by
+// BuildInto on hot promotion and rewriting by the optimizer on blazing
+// promotion — each of its uops carries the dispatch form a fresh decode
+// gives, over a TON and a TOS run. A write only ever targets the executed
+// segment's own key, so the resident trace under that key is the one just
+// written.
+func TestTraceFormsDecoded(t *testing.T) {
+	for _, id := range []config.ModelID{config.TON, config.TOS} {
+		builds, opts := 0, 0
+		for _, app := range []string{"gzip", "gcc", "perlbmk", "swim"} {
+			p, _ := workload.ByName(app)
+			var log SelectionLog
+			log.RecordWarm(p, 50000)
+			m := New(config.Get(id))
+			for i := range log.segs {
+				seg := &log.segs[i]
+				b, o := m.buildCount, m.optCount
+				m.execSegment(seg)
+				if m.buildCount == b && m.optCount == o {
+					continue
+				}
+				builds += int(m.buildCount - b)
+				opts += int(m.optCount - o)
+				key := seg.TID.Key()
+				for _, tr := range m.tc.Resident() {
+					if tr.TID.Key() != key {
+						continue
+					}
+					for k := range tr.Uops {
+						u := &tr.Uops[k]
+						if u.Form != isa.FormOf(u) {
+							t.Fatalf("%s/%s: trace %v (optimized %v) uop %d %v: form %+v, fresh decode %+v",
+								id, app, tr.TID, tr.Optimized, k, *u, u.Form, isa.FormOf(u))
+						}
+					}
+				}
+			}
+		}
+		if builds == 0 || opts == 0 {
+			t.Fatalf("%s: %d builds and %d optimizations checked; the runs must exercise both", id, builds, opts)
+		}
+		t.Logf("%s: %d builds and %d optimizations checked", id, builds, opts)
 	}
 }
 

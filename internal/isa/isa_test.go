@@ -3,7 +3,58 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestUopSize pins the Uop layout: the dispatch form lives in what was the
+// struct's padding, so every trace, dispatch-queue slot and program slab
+// pays nothing for it.
+func TestUopSize(t *testing.T) {
+	if got := unsafe.Sizeof(Uop{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Uop{}) = %d bytes, want 24", got)
+	}
+}
+
+func TestFormOf(t *testing.T) {
+	fu := NewUop(OpSimd2)
+	fu.Dst[0], fu.Dst[1] = GPR(1), GPR(2)
+	fu.Src[0], fu.Src[2], fu.Src[3] = GPR(3), GPR(3), GPR(4)
+	ld := NewUop(OpLoad)
+	ld.Dst[0], ld.Src[0] = FPR(1), GPR(12)
+	st := NewUop(OpStore)
+	st.Src[0], st.Src[1] = GPR(12), GPR(5)
+	br := NewUop(OpBr)
+	br.Src[0] = RegFlags
+	for _, c := range []struct {
+		u    Uop
+		want Form
+	}{
+		{NewUop(OpNop), Form{Class: ClassNop, Issue: ClassIntALU}},
+		{fu, Form{Class: ClassIntALU, Issue: ClassIntALU, Srcs: 0b1101, Dsts: 0b11}},
+		{ld, Form{Class: ClassLoad, Issue: ClassLoad, Srcs: 0b1, Dsts: 0b1}},
+		{st, Form{Class: ClassStore, Issue: ClassStore, Srcs: 0b11}},
+		{br, Form{Class: ClassBranch, Issue: ClassBranch, Srcs: 0b1}},
+	} {
+		if got := FormOf(&c.u); got != c.want {
+			t.Errorf("FormOf(%v) = %+v, want %+v", c.u, got, c.want)
+		}
+		if c.u.Form != (Form{}) {
+			t.Errorf("%v: FormOf must not store the form", c.u)
+		}
+		c.u.Decode()
+		if c.u.Form != c.want {
+			t.Errorf("Decode(%v) stored %+v, want %+v", c.u, c.u.Form, c.want)
+		}
+	}
+	// Every opcode decodes to a real issue pool, so the zero Form only
+	// ever marks an undecoded uop.
+	for o := Op(0); o < numOps; o++ {
+		u := NewUop(o)
+		if FormOf(&u).Issue == ClassNop {
+			t.Errorf("%v decodes to issue class nop", o)
+		}
+	}
+}
 
 func TestRegClassification(t *testing.T) {
 	for i := 0; i < NumGPR; i++ {

@@ -17,9 +17,10 @@ const (
 // them freely. Operand slots not in use hold RegNone.
 //
 // For trace uops, Taken records the direction embedded in the trace for
-// branch-class uops (the direction the trace asserts), and Elim marks uops
-// that the optimizer removed (used transiently inside optimizer passes; an
-// optimized trace never contains eliminated uops).
+// branch-class uops (the direction the trace asserts).
+//
+// Form caches the uop's dispatch form (see Form). It lives in what would
+// otherwise be padding, so a Uop stays 24 bytes (TestUopSize).
 type Uop struct {
 	Op   Op
 	Cond Cond
@@ -35,6 +36,56 @@ type Uop struct {
 
 	// Taken is the branch direction embedded during trace construction.
 	Taken bool
+
+	// Form is the dispatch form decoded from Op, Src and Dst. Whoever
+	// writes a uop that can reach an execution engine refreshes it with
+	// Decode; the zero Form marks a uop that was never decoded.
+	Form Form
+}
+
+// Form is a uop's pre-decoded dispatch form: everything the rename and
+// dispatch stage of the out-of-order engine derives from the uop. It is
+// computed once by FormOf when a uop is written — when a program is
+// generated, when a trace file is read, when a trace is optimized; a built
+// trace copies its instructions' forms — instead of on every one of the
+// uop's dynamic dispatches.
+// A memory uop's kind is its class (ClassLoad or ClassStore).
+type Form struct {
+	Class ExecClass // execution class: latency and unit statistics
+	Issue ExecClass // unit pool the uop competes for; never ClassNop
+	Srcs  uint8     // bit k set when Src[k] names a register
+	Dsts  uint8     // bit k set when Dst[k] names a register
+}
+
+// FormOf decodes u's dispatch form. It is the one place the form is
+// computed; Decode stores its result in the uop.
+func FormOf(u *Uop) Form {
+	f := Form{Class: u.Op.Class()}
+	f.Issue = f.Class
+	if f.Issue == ClassNop {
+		f.Issue = ClassIntALU // nops borrow the integer ALUs
+	}
+	f.Srcs = live(u.Src[0]) | live(u.Src[1])<<1 | live(u.Src[2])<<2 | live(u.Src[3])<<3
+	f.Dsts = live(u.Dst[0]) | live(u.Dst[1])<<1
+	return f
+}
+
+// live is 1 when r names a register (a flag, not a branch, on amd64).
+func live(r Reg) uint8 {
+	if r != RegNone {
+		return 1
+	}
+	return 0
+}
+
+// Decode refreshes u's cached dispatch form.
+func (u *Uop) Decode() { u.Form = FormOf(u) }
+
+// Decode refreshes the dispatch form of every uop in the slice.
+func Decode(uops []Uop) {
+	for i := range uops {
+		uops[i].Decode()
+	}
 }
 
 // NewUop returns a uop with all operand slots cleared.
@@ -163,10 +214,29 @@ type Inst struct {
 	PC   uint64 // static address
 	Size uint8  // encoded length in bytes, 1..15
 	Kind InstKind
+
+	// MemUops counts the memory uops among Uops, decoded with them
+	// (Inst.Decode).
+	MemUops uint8
+
 	Uops []Uop
 
 	// Target is the static taken-target for direct CTIs (branch/jump/call).
 	Target uint64
+}
+
+// Decode refreshes the dispatch form of every uop and the memory-uop
+// count. Every writer of an instruction (the program generator, the
+// trace-file reader) calls it once the uops are final.
+func (in *Inst) Decode() {
+	in.MemUops = 0
+	for k := range in.Uops {
+		u := &in.Uops[k]
+		u.Decode()
+		if u.Op.IsMem() {
+			in.MemUops++
+		}
+	}
 }
 
 // NumUops returns the decoded uop count.

@@ -29,11 +29,12 @@ import (
 func benchRun(b *testing.B, e *Engine, prog []isa.Uop, addrs []uint64) {
 	b.Helper()
 	var cycles uint64
+	isa.Decode(prog)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Reset()
-		run(e, prog, addrs)
+		drive(e, prog, addrs)
 		cycles += e.Stats.Cycles
 	}
 	b.StopTimer()

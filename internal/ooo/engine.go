@@ -387,19 +387,6 @@ func (e *Engine) CanDispatch() bool {
 	return e.InFlight() < e.cfg.ROBSize && e.iqCnt < e.cfg.IQSize
 }
 
-// noSources is the all-RegNone source array, compared as one word in the
-// dispatch fast path.
-var noSources = [isa.MaxSrc]isa.Reg{isa.RegNone, isa.RegNone, isa.RegNone, isa.RegNone}
-
-// issueClass maps a uop's execution class to the unit pool it competes for
-// (nops borrow the integer ALUs).
-func issueClass(c isa.ExecClass) isa.ExecClass {
-	if c == isa.ClassNop {
-		return isa.ClassIntALU
-	}
-	return c
-}
-
 // setReady and clearReady move ROB slot s into and out of the ready set.
 func (e *Engine) setReady(s uint64) {
 	e.ready[s>>6] |= 1 << (s & 63)
@@ -456,53 +443,54 @@ func (e *Engine) complete(s uint64) {
 // respect CanDispatch and the per-cycle width (Engine enforces neither, so
 // the front-end model owns bandwidth accounting). lastUop marks instruction
 // boundaries; traceEnd marks atomic-trace boundaries.
+//
+// Dispatch reads only the uop's pre-decoded form (isa.Form) and the
+// registers it names: whoever wrote the uop decoded it. An undecoded uop
+// panics rather than stalling forever in a unit pool that does not exist.
 func (e *Engine) Dispatch(u *isa.Uop, memAddr uint64, lastUop, traceEnd bool) Handle {
+	f := u.Form
+	if f.Issue == isa.ClassNop {
+		panic("ooo: dispatch of an undecoded uop " + u.String())
+	}
 	h := e.tail
 	e.tail++
 	slot := uint64(h) & e.robMask
 	en := &e.rob[slot]
-	class := u.Op.Class()
-	cls := issueClass(class)
+	cls := f.Issue
 	if old := en.icls; old != cls {
 		e.classBits[old][slot>>6] &^= 1 << (slot & 63)
 		e.classBits[cls][slot>>6] |= 1 << (slot & 63)
 	}
 	en.seq = h
 	en.memAddr = 0
-	en.class, en.icls = class, cls
+	en.class, en.icls = f.Class, cls
 	en.nsrcLeft = 0
 	en.done, en.isStore, en.isLoad = false, false, false
 	en.lastUop, en.traceEnd = lastUop, traceEnd
 	en.depHead, en.waitHead = -1, -1
-	if u.Src != noSources { // zero-operand uops skip the rename scan entirely
-		for k, s := range u.Src {
-			if s == isa.RegNone {
-				continue
-			}
-			e.Stats.RegReads++
-			if p := e.rename[s]; p != 0 {
-				if pe := e.slot(p); pe.seq == p && !pe.done {
-					// Live producer: link this source onto its wakeup list
-					// instead of re-polling the ROB every cycle.
-					ed := int32(slot)*isa.MaxSrc + int32(k)
-					e.edgeNext[ed] = pe.depHead
-					pe.depHead = ed
-					en.nsrcLeft++
-				}
+	for m := f.Srcs; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros8(m) & (isa.MaxSrc - 1)
+		e.Stats.RegReads++
+		if p := e.rename[u.Src[k]]; p != 0 {
+			if pe := e.slot(p); pe.seq == p && !pe.done {
+				// Live producer: link this source onto its wakeup list
+				// instead of re-polling the ROB every cycle.
+				ed := int32(slot)*isa.MaxSrc + int32(k)
+				e.edgeNext[ed] = pe.depHead
+				pe.depHead = ed
+				en.nsrcLeft++
 			}
 		}
 	}
-	for _, d := range u.Dst {
-		if d != isa.RegNone {
-			e.rename[d] = h
-			e.Stats.RegWrites++
-		}
+	for m := f.Dsts; m != 0; m &= m - 1 {
+		e.rename[u.Dst[bits.TrailingZeros8(m)&(isa.MaxDst-1)]] = h
+		e.Stats.RegWrites++
 	}
-	switch u.Op {
-	case isa.OpLoad:
+	switch f.Class {
+	case isa.ClassLoad:
 		en.isLoad = true
 		en.memAddr = memAddr
-	case isa.OpStore:
+	case isa.ClassStore:
 		en.isStore = true
 		en.memAddr = memAddr
 		e.stores[(e.storeHead+e.storeCnt)&e.storeMask] = h

@@ -22,7 +22,7 @@ func TestConservationProperty(t *testing.T) {
 				u.Dst[0] = isa.GPR(rng.Intn(16))
 				u.Src[0] = isa.GPR(rng.Intn(16))
 				u.Src[1] = isa.GPR(rng.Intn(16))
-				e.Dispatch(&u, 0, true, false)
+				dispatch(e, u, 0, true, false)
 				dispatched++
 			}
 			e.Cycle()
@@ -46,7 +46,7 @@ func TestIssueRespectsUnitCounts(t *testing.T) {
 		u.Dst[0] = isa.GPR(i)
 		u.Src[0] = isa.GPR(8)
 		u.Src[1] = isa.GPR(9)
-		e.Dispatch(&u, 0, true, false)
+		dispatch(e, u, 0, true, false)
 	}
 	e.Drain()
 	// Two serialized 12-cycle divides need >= 24 cycles.
@@ -64,7 +64,7 @@ func TestIssueWidthCap(t *testing.T) {
 		u.Dst[0] = isa.GPR(i)
 		u.Src[0] = isa.GPR(12)
 		u.Src[1] = isa.GPR(13)
-		e.Dispatch(&u, 0, true, false)
+		dispatch(e, u, 0, true, false)
 	}
 	e.Drain()
 	// 8 independent adds at 2/cycle need at least 4 issue cycles.
@@ -83,7 +83,7 @@ func TestMemLatencyCallbackReceivesAddressAndKind(t *testing.T) {
 	st := isa.NewUop(isa.OpStore)
 	st.Src[0] = isa.GPR(1)
 	st.Src[1] = isa.GPR(2)
-	e.Dispatch(&st, 0xCAFE, true, false)
+	dispatch(e, st, 0xCAFE, true, false)
 	e.Drain()
 	if gotAddr != 0xCAFE || !gotWrite {
 		t.Errorf("callback saw %#x write=%v", gotAddr, gotWrite)
@@ -96,7 +96,7 @@ func TestStoresLeaveInFlightListAtCommit(t *testing.T) {
 		st := isa.NewUop(isa.OpStore)
 		st.Src[0] = isa.GPR(1)
 		st.Src[1] = isa.GPR(2)
-		e.Dispatch(&st, uint64(0x100+i*8), true, false)
+		dispatch(e, st, uint64(0x100+i*8), true, false)
 		e.Cycle()
 	}
 	e.Drain()
@@ -134,8 +134,8 @@ func TestPackedUopsExecute(t *testing.T) {
 	sd.SubOps[0] = isa.OpAdd
 	sd.Dst[0], sd.Dst[1] = isa.GPR(5), isa.GPR(6)
 	sd.Src[0], sd.Src[1], sd.Src[2], sd.Src[3] = isa.GPR(1), isa.GPR(2), isa.GPR(3), isa.GPR(4)
-	e.Dispatch(&fu, 0, true, false)
-	h := e.Dispatch(&sd, 0, true, false)
+	dispatch(e, fu, 0, true, false)
+	h := dispatch(e, sd, 0, true, false)
 	e.Drain()
 	if !e.Retired(h) {
 		t.Error("packed uops did not retire")
@@ -160,9 +160,9 @@ func TestSimdDependencyThroughSecondDst(t *testing.T) {
 	use.Dst[0] = isa.GPR(7)
 	use.Src[0] = isa.GPR(6) // second lane's result
 	use.Src[1] = isa.GPR(6)
-	e.Dispatch(&slow, 0, true, false)
-	e.Dispatch(&sd, 0, true, false)
-	h := e.Dispatch(&use, 0, true, false)
+	dispatch(e, slow, 0, true, false)
+	dispatch(e, sd, 0, true, false)
+	h := dispatch(e, use, 0, true, false)
 	for i := 0; i < 6; i++ {
 		e.Cycle()
 	}

@@ -14,9 +14,21 @@ func alu(d, s1, s2 int) isa.Uop {
 	return u
 }
 
-// run dispatches the uops honoring width/backpressure and runs to drain,
-// returning total cycles.
+// dispatch decodes u, as every writer of a uop does, and dispatches it.
+func dispatch(e *Engine, u isa.Uop, memAddr uint64, lastUop, traceEnd bool) Handle {
+	u.Decode()
+	return e.Dispatch(&u, memAddr, lastUop, traceEnd)
+}
+
+// run decodes the uops, dispatches them honoring width/backpressure and
+// runs to drain, returning total cycles.
 func run(e *Engine, uops []isa.Uop, addrs []uint64) uint64 {
+	isa.Decode(uops)
+	return drive(e, uops, addrs)
+}
+
+// drive is run over already decoded uops.
+func drive(e *Engine, uops []isa.Uop, addrs []uint64) uint64 {
 	i := 0
 	for i < len(uops) {
 		dispatched := 0
@@ -152,10 +164,10 @@ func TestCommitInOrder(t *testing.T) {
 	div.Dst[0] = isa.GPR(1)
 	div.Src[0] = isa.GPR(2)
 	div.Src[1] = isa.GPR(3)
-	e.Dispatch(&div, 0, true, false)
+	dispatch(e, div, 0, true, false)
 	for i := 0; i < 3; i++ {
 		u := alu(4+i, 8, 9)
-		e.Dispatch(&u, 0, true, false)
+		dispatch(e, u, 0, true, false)
 	}
 	for i := 0; i < 5; i++ {
 		e.Cycle()
@@ -178,10 +190,10 @@ func TestBackpressure(t *testing.T) {
 	div.Dst[0] = isa.GPR(1)
 	div.Src[0] = isa.GPR(1)
 	div.Src[1] = isa.GPR(1)
-	e.Dispatch(&div, 0, true, false)
+	dispatch(e, div, 0, true, false)
 	for e.CanDispatch() {
 		u := alu(2, 3, 4)
-		e.Dispatch(&u, 0, true, false)
+		dispatch(e, u, 0, true, false)
 	}
 	if e.IQLen() != cfg.IQSize {
 		t.Errorf("iq = %d, want full %d", e.IQLen(), cfg.IQSize)
@@ -195,7 +207,7 @@ func TestBackpressure(t *testing.T) {
 func TestHandlesAndRetirement(t *testing.T) {
 	e := New(Narrow(), nil)
 	u := alu(1, 2, 3)
-	h := e.Dispatch(&u, 0, true, false)
+	h := dispatch(e, u, 0, true, false)
 	if e.Done(h) || e.Retired(h) {
 		t.Error("fresh uop cannot be done")
 	}
@@ -210,7 +222,7 @@ func TestInstructionAndTraceAccounting(t *testing.T) {
 	// Two "instructions" of 2 uops each; second ends a trace.
 	for i := 0; i < 4; i++ {
 		u := alu(i, 8, 9)
-		e.Dispatch(&u, 0, i == 1 || i == 3, i == 3)
+		dispatch(e, u, 0, i == 1 || i == 3, i == 3)
 	}
 	insts, traces := e.Drain()
 	if insts != 2 || traces != 1 {
@@ -233,9 +245,9 @@ func TestFlagDependencyThroughRename(t *testing.T) {
 	br := isa.NewUop(isa.OpBr)
 	br.Src[0] = isa.RegFlags
 	br.Cond = isa.CondEQ
-	e.Dispatch(&div, 0, true, false)
-	e.Dispatch(&cmp, 0, true, false)
-	h := e.Dispatch(&br, 0, true, false)
+	dispatch(e, div, 0, true, false)
+	dispatch(e, cmp, 0, true, false)
+	h := dispatch(e, br, 0, true, false)
 	for i := 0; i < 6; i++ {
 		e.Cycle()
 	}
@@ -255,8 +267,8 @@ func TestStatsClassCounts(t *testing.T) {
 	f.Dst[0] = isa.FPR(0)
 	f.Src[0] = isa.FPR(1)
 	f.Src[1] = isa.FPR(2)
-	e.Dispatch(&u, 0, true, false)
-	e.Dispatch(&f, 0, true, false)
+	dispatch(e, u, 0, true, false)
+	dispatch(e, f, 0, true, false)
 	e.Drain()
 	if e.Stats.OpsByClass[isa.ClassIntALU] != 1 || e.Stats.OpsByClass[isa.ClassFPMul] != 1 {
 		t.Errorf("class counts: %v", e.Stats.OpsByClass)

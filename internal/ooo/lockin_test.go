@@ -183,7 +183,7 @@ func TestAliasingLoadOrderedAfterStoreAtWrap(t *testing.T) {
 		st := isa.NewUop(isa.OpStore)
 		st.Src[0] = isa.GPR(1)
 		st.Src[1] = isa.GPR(2)
-		e.Dispatch(&st, uint64(i*64), true, false)
+		dispatch(e, st, uint64(i*64), true, false)
 	}
 	e.Drain()
 
@@ -202,10 +202,10 @@ func TestAliasingLoadOrderedAfterStoreAtWrap(t *testing.T) {
 	ind.Dst[0] = isa.GPR(5)
 	ind.Src[0] = isa.GPR(3)
 
-	e.Dispatch(&mul, 0, true, false)
-	hs := e.Dispatch(&st, 0x4000, true, false)
-	hl := e.Dispatch(&ld, 0x4000, true, false)
-	hi := e.Dispatch(&ind, 0x8000, true, false)
+	dispatch(e, mul, 0, true, false)
+	hs := dispatch(e, st, 0x4000, true, false)
+	hl := dispatch(e, ld, 0x4000, true, false)
+	hi := dispatch(e, ind, 0x8000, true, false)
 
 	sDone, lDone, iDone := uint64(0), uint64(0), uint64(0)
 	for e.InFlight() > 0 {

@@ -32,25 +32,25 @@ func TestStoreRetirementOrder(t *testing.T) {
 				u = isa.NewUop(isa.OpStore)
 				u.Src[0] = isa.GPR(rng.Intn(16))
 				u.Src[1] = isa.GPR(rng.Intn(16))
-				h := e.Dispatch(&u, uint64(rng.Intn(64)*8), true, false)
+				h := dispatch(e, u, uint64(rng.Intn(64)*8), true, false)
 				storeHandles = append(storeHandles, h)
 			case 1: // slow divide feeding later work
 				u = isa.NewUop(isa.OpDiv)
 				u.Dst[0] = isa.GPR(rng.Intn(16))
 				u.Src[0] = isa.GPR(rng.Intn(16))
 				u.Src[1] = isa.GPR(rng.Intn(16))
-				e.Dispatch(&u, 0, true, false)
+				dispatch(e, u, 0, true, false)
 			case 2: // load that may alias a pending store
 				u = isa.NewUop(isa.OpLoad)
 				u.Dst[0] = isa.GPR(rng.Intn(16))
 				u.Src[0] = isa.GPR(rng.Intn(16))
-				e.Dispatch(&u, uint64(rng.Intn(64)*8), true, false)
+				dispatch(e, u, uint64(rng.Intn(64)*8), true, false)
 			default:
 				u = isa.NewUop(isa.OpAdd)
 				u.Dst[0] = isa.GPR(rng.Intn(16))
 				u.Src[0] = isa.GPR(rng.Intn(16))
 				u.Src[1] = isa.GPR(rng.Intn(16))
-				e.Dispatch(&u, 0, true, false)
+				dispatch(e, u, 0, true, false)
 			}
 			dispatched++
 		}
@@ -92,7 +92,7 @@ func TestStoreQueueWrapAround(t *testing.T) {
 		st := isa.NewUop(isa.OpStore)
 		st.Src[0] = isa.GPR(1)
 		st.Src[1] = isa.GPR(2)
-		e.Dispatch(&st, uint64(i*8), true, false)
+		dispatch(e, st, uint64(i*8), true, false)
 	}
 	e.Drain()
 	if e.StoreQueueLen() != 0 {
@@ -115,13 +115,13 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 					u = isa.NewUop(isa.OpStore)
 					u.Src[0] = isa.GPR(rng.Intn(16))
 					u.Src[1] = isa.GPR(rng.Intn(16))
-					e.Dispatch(&u, uint64(rng.Intn(512)), true, false)
+					dispatch(e, u, uint64(rng.Intn(512)), true, false)
 					continue
 				}
 				u.Dst[0] = isa.GPR(rng.Intn(16))
 				u.Src[0] = isa.GPR(rng.Intn(16))
 				u.Src[1] = isa.GPR(rng.Intn(16))
-				e.Dispatch(&u, 0, true, false)
+				dispatch(e, u, 0, true, false)
 			}
 			e.Cycle()
 		}

@@ -134,6 +134,9 @@ func (o *Optimizer) OptimizeUops(uops []isa.Uop) ([]isa.Uop, Result) {
 		uops = o.pass("schedule", uops, st, schedule)
 	}
 
+	// The passes rewrite opcodes and operands in place; decode the final
+	// uops once, as every writer of a trace does.
+	isa.Decode(uops)
 	res.UopsAfter = len(uops)
 	res.CritAfter = CriticalPath(uops)
 	o.Runs++

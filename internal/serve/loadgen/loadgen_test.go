@@ -119,14 +119,14 @@ func TestOpenLoopAgainstWarmCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := Run(ctx, Config{
-		Client:      cl,
-		Mode:        "open",
-		RateHz:      500,
-		Requests:    20,
-		Duration:    10 * time.Second, // safety stop; requests should rule
-		Models:      models,
-		Apps:        apps,
-		Insts:       5000,
+		Client:   cl,
+		Mode:     "open",
+		RateHz:   500,
+		Requests: 20,
+		Duration: 10 * time.Second, // safety stop; requests should rule
+		Models:   models,
+		Apps:     apps,
+		Insts:    5000,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,11 @@ type Segment struct {
 	TID   TID
 	Insts []workload.DynInst
 
-	// Uops is the total decoded uop count.
-	Uops int
+	// Uops is the total decoded uop count, and MemUops how many of them
+	// access memory: the selector sums them as it appends instructions, so
+	// executing the segment never recounts them.
+	Uops    int
+	MemUops int
 
 	// Joined counts how many identical consecutive traces were merged into
 	// this segment (1 = no joining). Joining implements implicit loop
@@ -153,6 +156,7 @@ func (s *Selector) Feed(d *workload.DynInst) []Segment {
 	}
 	s.cur.Insts = append(s.cur.Insts, *d)
 	s.cur.Uops += nu
+	s.cur.MemUops += int(d.Inst.MemUops)
 
 	terminate := false
 	switch d.Inst.Kind {
@@ -206,6 +210,7 @@ func (s *Selector) close() {
 			p.TID = p.TID.Concat(done.TID)
 			p.Insts = append(p.Insts, done.Insts...)
 			p.Uops += done.Uops
+			p.MemUops += done.MemUops
 			p.Joined++
 			s.JoinOps++
 			if s.probe != nil {

@@ -10,9 +10,11 @@ import (
 // TestSelectorPartitionProperty: over random applications and stream
 // lengths, trace selection partitions the committed stream exactly — every
 // instruction lands in exactly one segment, order preserved, frames within
-// capacity.
+// capacity — and every segment's uop and memory-uop counts, joined
+// segments included, equal a recount over its instructions.
 func TestSelectorPartitionProperty(t *testing.T) {
 	apps := workload.Apps()
+	joined := 0
 	f := func(appIdx uint8, lenSel uint8) bool {
 		p := apps[int(appIdx)%len(apps)]
 		n := 2000 + int(lenSel)*40
@@ -40,18 +42,29 @@ func TestSelectorPartitionProperty(t *testing.T) {
 			}
 			dirs := 0
 			uops := 0
+			mem := 0
 			for _, d := range seg.Insts {
 				if k >= len(fed) || fed[k].Inst != d.Inst || fed[k].Taken != d.Taken {
 					return false
 				}
 				uops += len(d.Inst.Uops)
+				for _, u := range d.Inst.Uops {
+					if u.Op.IsMem() {
+						mem++
+					}
+				}
 				if d.Inst.Kind.String() == "branch" {
 					dirs++
 				}
 				k++
 			}
-			if uops != seg.Uops {
+			if uops != seg.Uops || mem != seg.MemUops {
+				t.Logf("%s: segment %v counts %d uops, %d memory uops; recount %d, %d",
+					p.Name, seg.TID, seg.Uops, seg.MemUops, uops, mem)
 				return false
+			}
+			if seg.Joined > 1 {
+				joined++
 			}
 			// TID direction bits correspond to the conditional branches.
 			if int(seg.TID.NDirs) != dirs {
@@ -66,6 +79,9 @@ func TestSelectorPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+	if joined == 0 {
+		t.Error("no joined segment was checked")
 	}
 }
 

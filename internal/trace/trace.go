@@ -40,7 +40,9 @@ type Trace struct {
 
 // Build constructs the decoded trace for a segment: uops are copied from
 // the decoded instructions in program order with the dynamic branch
-// directions embedded (the reuse container for decode work, §2.1).
+// directions embedded (the reuse container for decode work, §2.1). Each
+// copy keeps the dispatch form decoded with its instruction (isa.Form):
+// embedding a direction sets only Taken, which the form does not read.
 func Build(seg *Segment) *Trace {
 	return BuildInto(nil, seg)
 }

@@ -78,6 +78,7 @@ func mkInst(pc uint64, kind isa.InstKind, nUops int, target uint64) *isa.Inst {
 	if kind == isa.KindJumpInd {
 		in.Uops[len(in.Uops)-1] = isa.NewUop(isa.OpJmpI)
 	}
+	in.Decode()
 	return in
 }
 
@@ -318,9 +319,13 @@ func TestBuildCountsMemOps(t *testing.T) {
 	st.Src[0] = isa.GPR(1)
 	st.Src[1] = isa.GPR(3)
 	in.Uops = []isa.Uop{ld, st}
+	in.Decode()
 	d := dyn(in, false)
 	d.EpisodeEnd = true
 	segs := feedAll(NewSelector(), []workload.DynInst{d})
+	if segs[0].MemUops != 2 {
+		t.Errorf("segment MemUops = %d, want 2", segs[0].MemUops)
+	}
 	tr := Build(&segs[0])
 	if tr.MemOps != 2 {
 		t.Errorf("MemOps = %d, want 2", tr.MemOps)

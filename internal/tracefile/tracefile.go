@@ -320,6 +320,7 @@ func readInst(r io.Reader) (*isa.Inst, error) {
 		}
 		in.Uops = append(in.Uops, u)
 	}
+	in.Decode()
 	return in, nil
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"sync"
 
 	"parrot/internal/isa"
 )
@@ -22,8 +23,12 @@ const (
 
 // Block is a synthesized basic block.
 type Block struct {
-	ID    int
-	Insts []*isa.Inst
+	ID int
+
+	// Insts is the block's run of the program's instruction slab: every
+	// instruction of a program, and every uop, lives in one right-sized
+	// array laid out in address order.
+	Insts []isa.Inst
 
 	// MemStream parallels Insts: the address-stream id of each memory
 	// instruction, or -1.
@@ -50,8 +55,8 @@ func (b *Block) PC() uint64 {
 // NumUops returns the decoded uop count of the block.
 func (b *Block) NumUops() int {
 	n := 0
-	for _, in := range b.Insts {
-		n += len(in.Uops)
+	for i := range b.Insts {
+		n += len(b.Insts[i].Uops)
 	}
 	return n
 }
@@ -105,17 +110,74 @@ type gen struct {
 	nextID  int
 	streams int
 
-	recent   []isa.Reg // recently written GPRs, for dependency shaping
-	recentFP []isa.Reg
+	recent   recentRegs // recently written GPRs, for dependency shaping
+	recentFP recentRegs
+
+	// Instructions in generation order, their uops, and each block's share
+	// of them (indexed by block ID). A block's terminator is often
+	// generated long after its body, so layout copies both into the
+	// program's slabs in address order once every count is known.
+	drafts []draft
+	uops   []isa.Uop
+	spans  []span
+}
+
+// genPool recycles generator state, so the scratch drafts of one
+// generation are the next one's: a program allocates its slabs, blocks and
+// their lists, and nothing per instruction.
+var genPool = sync.Pool{New: func() any { return new(gen) }}
+
+// reset prepares g to synthesize prof's program, keeping its scratch
+// storage. The rng is reseeded to the state rand.New(rand.NewSource(seed))
+// starts in.
+func (g *gen) reset(prof Profile) {
+	if g.rng == nil {
+		g.rng = rand.New(rand.NewSource(prof.Seed))
+	} else {
+		g.rng.Seed(prof.Seed)
+	}
+	*g = gen{prof: prof, rng: g.rng,
+		drafts: g.drafts[:0], uops: g.uops[:0], spans: g.spans[:0]}
+}
+
+// draft is an instruction under construction: its uops are a range of
+// gen.uops, which is still growing.
+type draft struct {
+	kind   isa.InstKind
+	stream int32 // memory address stream, or -1
+	lo, n  int32 // uops gen.uops[lo:lo+n]
+}
+
+// span locates one block's drafts: the body genBlock emitted back to back,
+// and the terminator appended later, if any.
+type span struct {
+	lo, hi int32 // body drafts[lo:hi]
+	term   int32 // terminator draft, or -1
+}
+
+// recentRegs is a short history of written registers, oldest first, kept
+// in a fixed array so recording a write never allocates.
+type recentRegs struct {
+	r [6]isa.Reg
+	n int
+}
+
+// add records r, dropping the oldest entry once max are held.
+func (h *recentRegs) add(r isa.Reg, max int) {
+	if h.n == max {
+		copy(h.r[:], h.r[1:h.n])
+		h.n--
+	}
+	h.r[h.n] = r
+	h.n++
 }
 
 // Generate synthesizes the static program for a profile. The result is
 // deterministic in the profile (including its seed).
 func Generate(prof Profile) *Program {
-	g := &gen{
-		prof: prof,
-		rng:  rand.New(rand.NewSource(prof.Seed)),
-	}
+	g := genPool.Get().(*gen)
+	defer genPool.Put(g)
+	g.reset(prof)
 	p := &Program{Prof: prof}
 
 	// Leaf procedures shared by hot loops.
@@ -270,17 +332,17 @@ func (g *gen) terminate(b *Block, kind TermKind, taken, fall *Block, bias float6
 		br := isa.NewUop(isa.OpBr)
 		br.Src[0] = isa.RegFlags
 		br.Cond = isa.Cond(1 + g.rng.Intn(int(isa.NumConds)-1))
-		g.appendInst(b, isa.KindBranch, []isa.Uop{cmp, br}, -1)
+		g.spans[b.ID].term = g.draft(isa.KindBranch, -1, cmp, br)
 	case TermJmp:
-		g.appendInst(b, isa.KindJump, []isa.Uop{isa.NewUop(isa.OpJmp)}, -1)
+		g.spans[b.ID].term = g.draft(isa.KindJump, -1, isa.NewUop(isa.OpJmp))
 	case TermIndJmp:
 		j := isa.NewUop(isa.OpJmpI)
 		j.Src[0] = g.srcGPR()
-		g.appendInst(b, isa.KindJumpInd, []isa.Uop{j}, -1)
+		g.spans[b.ID].term = g.draft(isa.KindJumpInd, -1, j)
 	case TermCall:
-		g.appendInst(b, isa.KindCall, []isa.Uop{isa.NewUop(isa.OpCall)}, -1)
+		g.spans[b.ID].term = g.draft(isa.KindCall, -1, isa.NewUop(isa.OpCall))
 	case TermRet:
-		g.appendInst(b, isa.KindRet, []isa.Uop{isa.NewUop(isa.OpRet)}, -1)
+		g.spans[b.ID].term = g.draft(isa.KindRet, -1, isa.NewUop(isa.OpRet))
 	}
 }
 
@@ -315,20 +377,15 @@ func (g *gen) invariantGPR() isa.Reg {
 	return isa.GPR(numScratchGPR + g.rng.Intn(isa.NumGPR-numScratchGPR))
 }
 
-func (g *gen) noteWrite(r isa.Reg) {
-	g.recent = append(g.recent, r)
-	if len(g.recent) > 6 {
-		g.recent = g.recent[1:]
-	}
-}
+func (g *gen) noteWrite(r isa.Reg) { g.recent.add(r, 6) }
 
 // srcGPR picks a source register: a recent write (dependency chain), a
 // long-lived invariant, or an arbitrary scratch register.
 func (g *gen) srcGPR() isa.Reg {
 	r := g.rng.Float64()
 	switch {
-	case len(g.recent) > 0 && r < g.prof.DepChain:
-		return g.recent[g.rng.Intn(len(g.recent))]
+	case g.recent.n > 0 && r < g.prof.DepChain:
+		return g.recent.r[g.rng.Intn(g.recent.n)]
 	case r < g.prof.DepChain+0.4:
 		return g.invariantGPR()
 	default:
@@ -347,18 +404,15 @@ func (g *gen) addrGPR() isa.Reg {
 
 func (g *gen) dstFP() isa.Reg {
 	r := isa.FPR(g.rng.Intn(numScratchFP))
-	g.recentFP = append(g.recentFP, r)
-	if len(g.recentFP) > 4 {
-		g.recentFP = g.recentFP[1:]
-	}
+	g.recentFP.add(r, 4)
 	return r
 }
 
 func (g *gen) srcFP() isa.Reg {
 	r := g.rng.Float64()
 	switch {
-	case len(g.recentFP) > 0 && r < g.prof.DepChain+0.1:
-		return g.recentFP[g.rng.Intn(len(g.recentFP))]
+	case g.recentFP.n > 0 && r < g.prof.DepChain+0.1:
+		return g.recentFP.r[g.rng.Intn(g.recentFP.n)]
 	case r < g.prof.DepChain+0.35:
 		return isa.FPR(numScratchFP + g.rng.Intn(isa.NumFP-numScratchFP))
 	default:
@@ -366,13 +420,19 @@ func (g *gen) srcFP() isa.Reg {
 	}
 }
 
-// appendInst wraps uops into a macro-instruction appended to the block.
+// draft records a macro-instruction wrapping uops and returns its index.
 // PCs and sizes are assigned in layout; memStream < 0 means non-memory.
-func (g *gen) appendInst(b *Block, kind isa.InstKind, uops []isa.Uop, memStream int32) *isa.Inst {
-	in := &isa.Inst{Kind: kind, Uops: uops}
-	b.Insts = append(b.Insts, in)
-	b.MemStream = append(b.MemStream, memStream)
-	return in
+func (g *gen) draft(kind isa.InstKind, memStream int32, uops ...isa.Uop) int32 {
+	g.drafts = append(g.drafts, draft{kind: kind, stream: memStream,
+		lo: int32(len(g.uops)), n: int32(len(uops))})
+	g.uops = append(g.uops, uops...)
+	return int32(len(g.drafts) - 1)
+}
+
+// appendInst appends a body instruction to the block genBlock is emitting.
+func (g *gen) appendInst(b *Block, kind isa.InstKind, memStream int32, uops ...isa.Uop) {
+	g.draft(kind, memStream, uops...)
+	g.spans[b.ID].hi++
 }
 
 // streamPoolSize is the number of distinct memory address streams per
@@ -402,8 +462,11 @@ func (g *gen) genBlock(p *Program, hot bool, nInsts int) *Block {
 	prof := g.prof
 	b := &Block{ID: g.nextID}
 	g.nextID++
+	at := int32(len(g.drafts))
+	g.spans = append(g.spans, span{lo: at, hi: at, term: -1})
+	sp := &g.spans[b.ID]
 
-	for len(b.Insts) < nInsts {
+	for int(sp.hi-sp.lo) < nInsts {
 		r := g.rng.Float64()
 		switch {
 		case hot && r < prof.DeadFrac:
@@ -421,9 +484,8 @@ func (g *gen) genBlock(p *Program, hot bool, nInsts int) *Block {
 		}
 	}
 	// Trim overshoot from multi-instruction patterns.
-	if len(b.Insts) > nInsts {
-		b.Insts = b.Insts[:nInsts]
-		b.MemStream = b.MemStream[:nInsts]
+	if int(sp.hi-sp.lo) > nInsts {
+		sp.hi = sp.lo + int32(nInsts)
 	}
 	return b
 }
@@ -446,7 +508,7 @@ func (g *gen) emitMixed(b *Block) {
 		u.Src[0] = g.srcGPR()
 		u.Src[1] = g.srcGPR()
 		u.Dst[0] = g.dstGPR()
-		g.appendInst(b, isa.KindSimple, []isa.Uop{u}, -1)
+		g.appendInst(b, isa.KindSimple, -1, u)
 	case r < prof.FracMem+prof.FracFP+prof.FracMulDiv+prof.ComplexFrac:
 		g.emitComplex(b)
 	default:
@@ -466,7 +528,7 @@ func (g *gen) emitALU(b *Block) {
 		u.Src[1] = g.srcGPR()
 	}
 	u.Dst[0] = g.dstGPR()
-	g.appendInst(b, isa.KindSimple, []isa.Uop{u}, -1)
+	g.appendInst(b, isa.KindSimple, -1, u)
 }
 
 func (g *gen) emitFP(b *Block) {
@@ -486,8 +548,8 @@ func (g *gen) emitFP(b *Block) {
 			add.Src[1] = isa.FPR((int(t) - int(isa.GPR(0)) + 1) % numScratchFP)
 		}
 		add.Dst[0] = t
-		g.appendInst(b, isa.KindSimple, []isa.Uop{mul}, -1)
-		g.appendInst(b, isa.KindSimple, []isa.Uop{add}, -1)
+		g.appendInst(b, isa.KindSimple, -1, mul)
+		g.appendInst(b, isa.KindSimple, -1, add)
 		return
 	}
 	ops := []isa.Op{isa.OpFAdd, isa.OpFAdd, isa.OpFMul, isa.OpFMul, isa.OpFDiv}
@@ -498,7 +560,7 @@ func (g *gen) emitFP(b *Block) {
 	u.Src[0] = g.srcFP()
 	u.Src[1] = g.srcFP()
 	u.Dst[0] = g.dstFP()
-	g.appendInst(b, isa.KindSimple, []isa.Uop{u}, -1)
+	g.appendInst(b, isa.KindSimple, -1, u)
 }
 
 func (g *gen) emitMem(b *Block) {
@@ -515,7 +577,7 @@ func (g *gen) emitMem(b *Block) {
 			op.Src[0] = t
 			op.Src[1] = g.srcGPR()
 			op.Dst[0] = g.dstGPR()
-			g.appendInst(b, isa.KindSimple, []isa.Uop{ld, op}, sid)
+			g.appendInst(b, isa.KindSimple, sid, ld, op)
 			return
 		}
 		ld := isa.NewUop(isa.OpLoad)
@@ -526,14 +588,14 @@ func (g *gen) emitMem(b *Block) {
 		} else {
 			ld.Dst[0] = g.dstGPR()
 		}
-		g.appendInst(b, isa.KindSimple, []isa.Uop{ld}, sid)
+		g.appendInst(b, isa.KindSimple, sid, ld)
 		return
 	}
 	st := isa.NewUop(isa.OpStore)
 	st.Src[0] = g.addrGPR()
 	st.Src[1] = g.srcGPR()
 	st.Imm = int64(g.rng.Intn(128)) * 8
-	g.appendInst(b, isa.KindSimple, []isa.Uop{st}, sid)
+	g.appendInst(b, isa.KindSimple, sid, st)
 }
 
 // emitComplex emits a 3-4 uop macro-instruction (read-modify-write style)
@@ -555,15 +617,17 @@ func (g *gen) emitComplex(b *Block) {
 	st.Src[0] = base
 	st.Src[1] = t
 	st.Imm = off
-	uops := []isa.Uop{ld, op, st}
+	uops := [4]isa.Uop{ld, op, st}
+	n := 3
 	if g.rng.Float64() < 0.3 {
 		extra := isa.NewUop(isa.OpAddImm)
 		extra.Src[0] = base
 		extra.Imm = 8
 		extra.Dst[0] = g.dstGPR()
-		uops = append(uops, extra)
+		uops[n] = extra
+		n++
 	}
-	g.appendInst(b, isa.KindComplex, uops, sid)
+	g.appendInst(b, isa.KindComplex, sid, uops[:n]...)
 }
 
 // emitDeadPair emits a write to a register immediately overwritten by the
@@ -574,7 +638,7 @@ func (g *gen) emitDeadPair(b *Block) {
 	dead.Src[0] = g.srcGPR()
 	dead.Src[1] = g.srcGPR()
 	dead.Dst[0] = victim
-	g.appendInst(b, isa.KindSimple, []isa.Uop{dead}, -1)
+	g.appendInst(b, isa.KindSimple, -1, dead)
 
 	over := isa.NewUop(aluImmOps[g.rng.Intn(len(aluImmOps))])
 	over.Src[0] = g.srcGPR() // may read victim? avoid:
@@ -584,7 +648,7 @@ func (g *gen) emitDeadPair(b *Block) {
 	over.Imm = int64(g.rng.Intn(128))
 	over.Dst[0] = victim
 	g.noteWrite(victim)
-	g.appendInst(b, isa.KindSimple, []isa.Uop{over}, -1)
+	g.appendInst(b, isa.KindSimple, -1, over)
 }
 
 // emitConstChain emits movi followed by a dependent immediate ALU op —
@@ -595,14 +659,14 @@ func (g *gen) emitConstChain(b *Block) {
 	mv := isa.NewUop(isa.OpMovImm)
 	mv.Dst[0] = a
 	mv.Imm = int64(g.rng.Intn(1024))
-	g.appendInst(b, isa.KindSimple, []isa.Uop{mv}, -1)
+	g.appendInst(b, isa.KindSimple, -1, mv)
 
 	fold := isa.NewUop(aluImmOps[g.rng.Intn(3)]) // add/sub/and
 	fold.Src[0] = a
 	fold.Imm = int64(g.rng.Intn(256))
 	fold.Dst[0] = a // overwrites the movi target: movi becomes dead post-fold
 	g.noteWrite(a)
-	g.appendInst(b, isa.KindSimple, []isa.Uop{fold}, -1)
+	g.appendInst(b, isa.KindSimple, -1, fold)
 }
 
 // emitCopyChain emits mov b,a; use of b — copy propagation rewrites the use
@@ -616,14 +680,14 @@ func (g *gen) emitCopyChain(b *Block) {
 	mv := isa.NewUop(isa.OpMov)
 	mv.Src[0] = src
 	mv.Dst[0] = cp
-	g.appendInst(b, isa.KindSimple, []isa.Uop{mv}, -1)
+	g.appendInst(b, isa.KindSimple, -1, mv)
 
 	use := isa.NewUop(g.aluOp())
 	use.Src[0] = cp
 	use.Src[1] = g.srcGPR()
 	use.Dst[0] = cp // overwrite the copy: mov becomes dead after copy-prop
 	g.noteWrite(cp)
-	g.appendInst(b, isa.KindSimple, []isa.Uop{use}, -1)
+	g.appendInst(b, isa.KindSimple, -1, use)
 }
 
 // emitFusePair emits a dependent ALU pair with single-use intermediate —
@@ -634,7 +698,7 @@ func (g *gen) emitFusePair(b *Block) {
 	u1.Src[0] = g.srcGPR()
 	u1.Src[1] = g.srcGPR()
 	u1.Dst[0] = t
-	g.appendInst(b, isa.KindSimple, []isa.Uop{u1}, -1)
+	g.appendInst(b, isa.KindSimple, -1, u1)
 
 	u2 := isa.NewUop(g.fuseOp())
 	u2.Src[0] = t
@@ -644,7 +708,7 @@ func (g *gen) emitFusePair(b *Block) {
 	}
 	u2.Dst[0] = t // intermediate value dies here
 	g.noteWrite(t)
-	g.appendInst(b, isa.KindSimple, []isa.Uop{u2}, -1)
+	g.appendInst(b, isa.KindSimple, -1, u2)
 }
 
 // emitSimdPair emits two adjacent independent same-op ALU instructions —
@@ -669,44 +733,46 @@ func (g *gen) emitSimdPair(b *Block) {
 	}
 	g.noteWrite(d1)
 	g.noteWrite(d2)
-	g.appendInst(b, isa.KindSimple, []isa.Uop{u1}, -1)
-	g.appendInst(b, isa.KindSimple, []isa.Uop{u2}, -1)
+	g.appendInst(b, isa.KindSimple, -1, u1)
+	g.appendInst(b, isa.KindSimple, -1, u2)
 }
 
 // layout assigns PCs and encoded sizes: hot loops and procedures are packed
 // at low addresses (small, cache-resident footprint), cold blocks spread
 // after them, giving the cold region its instruction-cache pressure.
 func (g *gen) layout(p *Program) {
+	p.blocks = make([]*Block, 0, len(g.spans))
+	for _, l := range p.Loops {
+		p.blocks = append(p.blocks, l.Body...)
+	}
+	for _, pr := range p.Procs {
+		p.blocks = append(p.blocks, pr.Blocks...)
+	}
+	nHot := len(p.blocks)
+	p.blocks = append(p.blocks, p.Cold...)
+	g.fillSlabs(p.blocks)
+
 	pc := uint64(0x0040_0000)
-	place := func(b *Block) {
-		for _, in := range b.Insts {
+	for i, b := range p.blocks {
+		if i == nHot {
+			pc += 4096 // gap between hot and cold regions
+		}
+		for k := range b.Insts {
+			in := &b.Insts[k]
 			in.PC = pc
 			in.Size = g.instSize(in)
 			pc += uint64(in.Size)
 		}
-		p.blocks = append(p.blocks, b)
-	}
-	for _, l := range p.Loops {
-		for _, b := range l.Body {
-			place(b)
+		if i >= nHot {
+			pc += uint64(g.rng.Intn(32)) // sparse cold layout
 		}
-	}
-	for _, pr := range p.Procs {
-		for _, b := range pr.Blocks {
-			place(b)
-		}
-	}
-	pc += 4096 // gap between hot and cold regions
-	for _, b := range p.Cold {
-		place(b)
-		pc += uint64(g.rng.Intn(32)) // sparse cold layout
 	}
 	// Resolve static branch targets now that PCs exist.
 	for _, b := range p.blocks {
 		if len(b.Insts) == 0 {
 			continue
 		}
-		last := b.Insts[len(b.Insts)-1]
+		last := &b.Insts[len(b.Insts)-1]
 		switch b.Term {
 		case TermCond, TermLoopBack, TermJmp:
 			if b.Taken != nil {
@@ -717,6 +783,49 @@ func (g *gen) layout(p *Program) {
 				last.Target = b.Callee.Blocks[0].PC()
 			}
 		}
+	}
+}
+
+// fillSlabs copies every block's drafts, in the given (address) order,
+// into three exactly sized arrays — instructions, uops and memory streams —
+// and decodes each instruction. The drafts trimmed off a block's end are
+// left behind with the rest of the generator state.
+func (g *gen) fillSlabs(blocks []*Block) {
+	nInsts, nUops := 0, 0
+	count := func(d int32) {
+		nInsts++
+		nUops += int(g.drafts[d].n)
+	}
+	for _, b := range blocks {
+		sp := g.spans[b.ID]
+		for d := sp.lo; d < sp.hi; d++ {
+			count(d)
+		}
+		if sp.term >= 0 {
+			count(sp.term)
+		}
+	}
+	insts := make([]isa.Inst, 0, nInsts)
+	streams := make([]int32, 0, nInsts)
+	uops := make([]isa.Uop, 0, nUops)
+	add := func(d *draft) {
+		lo := len(uops)
+		uops = append(uops, g.uops[d.lo:d.lo+d.n]...)
+		insts = append(insts, isa.Inst{Kind: d.kind, Uops: uops[lo:len(uops):len(uops)]})
+		insts[len(insts)-1].Decode()
+		streams = append(streams, d.stream)
+	}
+	for _, b := range blocks {
+		sp := g.spans[b.ID]
+		lo := len(insts)
+		for d := sp.lo; d < sp.hi; d++ {
+			add(&g.drafts[d])
+		}
+		if sp.term >= 0 {
+			add(&g.drafts[sp.term])
+		}
+		b.Insts = insts[lo:len(insts):len(insts)]
+		b.MemStream = streams[lo:len(streams):len(streams)]
 	}
 }
 

@@ -410,7 +410,8 @@ func (s *Stream) emitBlock(b *Block, hot, takenTerm bool, nextPC uint64) int {
 		s.queue = append(s.queue, make([]DynInst, n)...)
 	}
 	q := s.queue[base:]
-	for i, in := range b.Insts {
+	for i := range b.Insts {
+		in := &b.Insts[i]
 		d := &q[i]
 		d.Inst = in
 		d.Taken = false

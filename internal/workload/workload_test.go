@@ -16,6 +16,35 @@ func TestDynInstSize(t *testing.T) {
 	}
 }
 
+// TestProgramsDecoded checks the generator's half of the decode-once
+// invariant: in every application's program, each uop's dispatch form
+// equals a fresh decode and each instruction's MemUops counts its memory
+// uops.
+func TestProgramsDecoded(t *testing.T) {
+	for _, p := range Apps() {
+		prog := Generate(p)
+		for _, b := range prog.Blocks() {
+			for i := range b.Insts {
+				in := &b.Insts[i]
+				mem := 0
+				for k := range in.Uops {
+					u := &in.Uops[k]
+					if u.Form != isa.FormOf(u) {
+						t.Fatalf("%s %#x uop %d (%v): form %+v, fresh decode %+v",
+							p.Name, in.PC, k, *u, u.Form, isa.FormOf(u))
+					}
+					if u.Op.IsMem() {
+						mem++
+					}
+				}
+				if int(in.MemUops) != mem {
+					t.Fatalf("%s %#x: MemUops %d, %d memory uops", p.Name, in.PC, in.MemUops, mem)
+				}
+			}
+		}
+	}
+}
+
 func TestAppsRoster(t *testing.T) {
 	apps := Apps()
 	if len(apps) != 44 {
