@@ -25,15 +25,11 @@ import (
 	"time"
 
 	"parrot"
-	"parrot/internal/config"
-	"parrot/internal/core"
 	"parrot/internal/energy"
 	"parrot/internal/experiments"
 	"parrot/internal/profiling"
 	"parrot/internal/serve/client"
 	"parrot/internal/serve/proto"
-	"parrot/internal/tracefile"
-	"parrot/internal/workload"
 )
 
 // runRemote serves the cell from a parrotd instance, reporting how many
@@ -79,18 +75,7 @@ func runTraceFile(modelID, path string) (*parrot.Result, error) {
 		return nil, err
 	}
 	defer f.Close()
-	tr, err := tracefile.NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	prof := workload.Profile{Name: tr.Name, Suite: tr.Suite}
-	warm := int(float64(tr.Remaining()) * core.WarmupFraction)
-	machine := core.New(config.Model(m))
-	res := machine.RunSourceWarm(tr, prof, warm)
-	if err := tr.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return parrot.RunTraceFile(m, f)
 }
 
 func main() {

@@ -82,8 +82,6 @@ type Machine struct {
 	counts    energy.Counts // priced with emodel
 	countsHot energy.Counts // priced with ehot (split models only)
 
-	sel *trace.Selector
-
 	// Timing state.
 	clock           uint64
 	clockStart      uint64 // clock value at the last statistics reset
@@ -189,7 +187,6 @@ func New(model config.Model) *Machine {
 		bp:     branch.NewPredictor(model.BPEntries, model.BPHistBits),
 		btb:    branch.NewBTB(model.BTBEntries),
 		ras:    branch.NewRAS(model.RASDepth),
-		sel:    trace.NewSelector(),
 		emodel: energy.NewModel(model.EnergyParams()),
 		dq:     make([]dispatchItem, 128), // power of two; grows on demand
 
@@ -499,55 +496,34 @@ type InstSource interface {
 	Next() (workload.DynInst, bool)
 }
 
-// Run executes n dynamic instructions of the application and returns the
-// collected result. Passing n <= 0 uses the profile's default length.
+// Run executes n dynamic instructions of the application with no warm-up
+// window and returns the collected result. Passing n <= 0 uses the
+// profile's default length.
 func Run(model config.Model, prof workload.Profile, n int) *Result {
-	if n <= 0 {
-		n = prof.Instructions
-	}
-	m := New(model)
-	prog := workload.Generate(prof)
-	return m.RunSource(workload.NewStream(prog, n), prof)
+	return runStream(New(model), prof, n, 0)
 }
 
-// RunSource drives the machine from an arbitrary instruction source with no
-// warmup window and collects the result. Label information is taken from
-// prof (Name/Suite only; the generator parameters are ignored).
-func (m *Machine) RunSource(src InstSource, prof workload.Profile) *Result {
-	for {
-		d, ok := src.Next()
-		if !ok {
-			break
-		}
-		segs := m.sel.Feed(&d)
-		for i := range segs {
-			m.execSegment(&segs[i])
-			m.sel.Recycle(&segs[i])
-		}
+// finish ends a run: it empties the dispatch queue and both pipelines,
+// fast-forwarding idle stretches (e.g. a last long-latency load) in one
+// jump, and collects the result.
+func (m *Machine) finish(prof workload.Profile) *Result {
+	for m.dqLen() > 0 || m.cold.InFlight() > 0 || (m.split && m.hot.InFlight() > 0) {
+		m.step()
 	}
-	segs := m.sel.Flush()
-	for i := range segs {
-		m.execSegment(&segs[i])
-		m.sel.Recycle(&segs[i])
-	}
-	m.drain()
 	if m.rec != nil {
 		m.obsFinish()
 	}
 	return m.collect(prof)
 }
 
-// drain empties the dispatch queue and both pipelines, fast-forwarding idle
-// stretches (e.g. a last long-latency load) in one jump.
-func (m *Machine) drain() {
-	for m.dqLen() > 0 || m.cold.InFlight() > 0 || (m.split && m.hot.InFlight() > 0) {
-		m.step()
-	}
-}
-
 // execSegment runs one selection segment through the fetch selector and the
-// appropriate pipeline, then performs the background phases.
+// appropriate pipeline, then performs the background phases. An attached
+// recorder first sees the selector's decisions for the segment, which the
+// log carries (TID, counts, joined units).
 func (m *Machine) execSegment(seg *trace.Segment) {
+	if m.rec != nil {
+		m.rec.Selected(seg)
+	}
 	if !m.traceCache {
 		if m.rec != nil {
 			m.rec.Segment(seg.TID, seg.NumInsts(), seg.Uops, false)

@@ -192,17 +192,9 @@ func TestTraceMatchGuardsCollisions(t *testing.T) {
 	// segment (hash-collision defense).
 	m := New(config.Get(config.TON))
 	p, _ := workload.ByName("gzip")
-	prog := workload.Generate(p)
-	stream := workload.NewStream(prog, 5000)
-	sel := trace.NewSelector()
-	var segs []trace.Segment
-	for len(segs) < 6 {
-		d, ok := stream.Next()
-		if !ok {
-			break
-		}
-		segs = append(segs, sel.Feed(&d)...)
-	}
+	var log SelectionLog
+	log.RecordWarm(p, 5000)
+	segs := log.segs
 	if len(segs) < 2 {
 		t.Fatal("not enough segments")
 	}
@@ -271,16 +263,10 @@ func TestTraceFormsDecoded(t *testing.T) {
 func TestWarmupResetClearsCounters(t *testing.T) {
 	m := New(config.Get(config.TON))
 	p, _ := workload.ByName("gzip")
-	prog := workload.Generate(p)
-	stream := workload.NewStream(prog, 8000)
-	for {
-		d, ok := stream.Next()
-		if !ok {
-			break
-		}
-		for _, seg := range m.sel.Feed(&d) {
-			m.execSegment(&seg)
-		}
+	var log SelectionLog
+	log.RecordWarm(p, 8000)
+	for i := range log.segs {
+		m.execSegment(&log.segs[i])
 	}
 	if m.clock == 0 {
 		t.Fatal("machine did not advance")

@@ -43,7 +43,6 @@ func (m *Machine) Attach(rec *obs.Recorder) {
 	if m.tc != nil {
 		m.tc.SetProbe(rec)
 	}
-	m.sel.SetProbe(rec)
 	if m.optz != nil {
 		m.optz.SetProbe(rec)
 	}

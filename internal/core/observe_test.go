@@ -9,6 +9,7 @@ import (
 	"parrot/internal/config"
 	"parrot/internal/obs"
 	"parrot/internal/ooo"
+	"parrot/internal/trace"
 	"parrot/internal/workload"
 )
 
@@ -295,5 +296,110 @@ func TestPipeSwitchEventsBalance(t *testing.T) {
 	}
 	if d := toHot - toCold; d < -1 || d > 1 {
 		t.Errorf("switch balance off: %d to-hot vs %d to-cold", toHot, toCold)
+	}
+}
+
+// doubleCompletions feeds prof's n-instruction stream through a bare
+// selector and counts the Feed calls that complete two segments at once
+// (a frame-capacity split followed by a terminating instruction), and the
+// segments the final Flush completes.
+func doubleCompletions(prof workload.Profile, n int) (feeds, flushed int) {
+	sel := trace.NewSelector()
+	src := workload.NewStream(workload.GenerateCached(prof), n)
+	for {
+		d, ok := src.Next()
+		if !ok {
+			break
+		}
+		if len(sel.Feed(&d)) == 2 {
+			feeds++
+		}
+	}
+	return feeds, len(sel.Flush())
+}
+
+// TestSelectionEventsFromLog pins where an observed run's selection events
+// sit on the bus. The machine emits them from its log just before each
+// segment executes: the segment's join events (the k-th carrying the TID
+// of its first k units and the count k), then its emission, all stamped
+// with the cycle at which the segment starts executing, then the
+// segment's own events. Three kinds of event sit elsewhere than where a
+// selector running in step with the machine emitted them: the joins of the
+// segment pending at the warm-up boundary follow the measurement-start
+// marker instead of preceding it, and when one Feed or the final Flush
+// completes two segments, the second is emitted after the first has
+// executed, at its own start cycle. The runs cover all three.
+func TestSelectionEventsFromLog(t *testing.T) {
+	cases := []struct {
+		id  config.ModelID
+		app string
+		n   int
+	}{
+		{config.TON, "gzip", 6000},  // joined segment pending at warm-up; Flush completes 2
+		{config.N, "crafty", 50000}, // one Feed completes 2
+	}
+	warmJoins, feeds2, flush2 := false, false, false
+	for _, c := range cases {
+		prof, _ := workload.ByName(c.app)
+		var log SelectionLog
+		log.RecordWarm(prof, c.n)
+		feeds, flushed := doubleCompletions(prof, c.n)
+		feeds2 = feeds2 || feeds > 0
+		flush2 = flush2 || flushed == 2
+		// A join is fed by the last instruction of the unit it merges.
+		w := &log.segs[log.warm]
+		warmJoins = warmJoins || (w.Joined > 1 && segStart(&log, log.warm)+2*len(w.Insts)/w.Joined <= int(float64(c.n)*WarmupFraction))
+
+		m := New(config.Get(c.id))
+		rec := obs.NewRecorder(obs.Options{MaxBusEvents: 1 << 24})
+		m.Attach(rec)
+		RunWarmOn(m, prof, c.n)
+		var ev []obs.Event
+		rec.Bus.Each(func(e *obs.Event) {
+			switch e.Kind {
+			case obs.KSelectJoin, obs.KSelectEmit, obs.KSegment, obs.KMeasureStart:
+				ev = append(ev, *e)
+			}
+		})
+		next := func(want obs.Kind) obs.Event {
+			t.Helper()
+			if len(ev) == 0 || ev[0].Kind != want {
+				t.Fatalf("%s/%s: expected a %v event, bus has %v", c.id, c.app, want, ev[:min(len(ev), 1)])
+			}
+			e := ev[0]
+			ev = ev[1:]
+			return e
+		}
+		for i := range log.segs {
+			s := &log.segs[i]
+			if i == log.warm {
+				next(obs.KMeasureStart)
+			}
+			var joins []obs.Event
+			for k := 2; k <= s.Joined; k++ {
+				e := next(obs.KSelectJoin)
+				if want := s.TID.Prefix(k * s.NDirsPerUnit()).Key(); e.A != want || e.B != uint64(k) {
+					t.Fatalf("%s/%s segment %d: join %d has key %x count %d, want %x %d", c.id, c.app, i, k, e.A, e.B, want, k)
+				}
+				joins = append(joins, e)
+			}
+			emit := next(obs.KSelectEmit)
+			if uops, joined := obs.UnpackPair(emit.B); emit.A != s.TID.Key() || uops != s.Uops || joined != s.Joined {
+				t.Fatalf("%s/%s segment %d: emission %x %d/%d, want %x %d/%d", c.id, c.app, i, emit.A, uops, joined, s.TID.Key(), s.Uops, s.Joined)
+			}
+			seg := next(obs.KSegment)
+			for _, e := range append(joins, emit) {
+				if e.Cycle != seg.Cycle {
+					t.Fatalf("%s/%s segment %d: %v at cycle %d, segment executes at %d", c.id, c.app, i, e.Kind, e.Cycle, seg.Cycle)
+				}
+			}
+		}
+		if len(ev) != 0 {
+			t.Fatalf("%s/%s: %d events after the last segment", c.id, c.app, len(ev))
+		}
+	}
+	if !warmJoins || !feeds2 || !flush2 {
+		t.Fatalf("runs no longer cover the moved events: joins at warm-up %v, two-segment Feed %v, two-segment Flush %v",
+			warmJoins, feeds2, flush2)
 	}
 }

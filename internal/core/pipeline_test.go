@@ -92,16 +92,10 @@ func TestPrefetcherReducesMemoryEnergyEvents(t *testing.T) {
 func TestTOSUsesBothEngines(t *testing.T) {
 	m := New(config.Get(config.TOS))
 	p, _ := workload.ByName("flash")
-	prog := workload.Generate(p)
-	stream := workload.NewStream(prog, 30000)
-	for {
-		d, ok := stream.Next()
-		if !ok {
-			break
-		}
-		for _, seg := range m.sel.Feed(&d) {
-			m.execSegment(&seg)
-		}
+	var log SelectionLog
+	log.RecordWarm(p, 30000)
+	for i := range log.segs {
+		m.execSegment(&log.segs[i])
 	}
 	for m.dqLen() > 0 {
 		m.tick()

@@ -38,7 +38,6 @@ func (m *Machine) Reset() {
 	if m.optz != nil {
 		m.optz.Reset()
 	}
-	m.sel.Reset()
 
 	m.counts = energy.Counts{}
 	m.countsHot = energy.Counts{}
@@ -75,7 +74,7 @@ func (m *Machine) Reset() {
 	m.diagColdResident, m.diagColdAbsent = 0, 0
 
 	// Observability: recorders are per-run (the component Resets above have
-	// already detached the engine/cache/selector/optimizer probes).
+	// already detached the engine/cache/optimizer probes).
 	m.rec = nil
 	m.obsBase = obsBaseline{}
 	m.obsNextIval = 0

@@ -103,56 +103,24 @@ func (p *Pool) RunWarm(model config.Model, prof workload.Profile, n int) *Result
 // RunWarmOn is the warmup protocol on a caller-managed machine: m must be
 // freshly constructed or Reset, and ownership stays with the caller (nothing
 // is pooled or reset here). It is the building block for callers that hold a
-// machine across many runs — the experiment matrix workers reset and reuse
-// one machine per model instead of cycling the pool lock per cell.
+// machine across many runs, such as the serving layer's workers.
 func RunWarmOn(m *Machine, prof workload.Profile, n int) *Result {
-	if n <= 0 {
-		n = prof.Instructions
-	}
-	prog := workload.GenerateCached(prof)
-	src := workload.GetStream(prog, n)
-	defer workload.PutStream(src)
-	return m.RunSourceWarm(src, prof, int(float64(n)*WarmupFraction))
+	return runStream(m, prof, n, WarmupFraction)
 }
 
 // RunWarmFresh is RunWarm on a never-pooled, freshly constructed machine —
 // the reference the determinism tests compare pooled runs against.
 func RunWarmFresh(model config.Model, prof workload.Profile, n int) *Result {
+	return RunWarmOn(New(model), prof, n)
+}
+
+// runStream runs n instructions of prof's stream (n <= 0 = the profile's
+// default) on m, resetting statistics after the first warm share of them.
+func runStream(m *Machine, prof workload.Profile, n int, warm float64) *Result {
 	if n <= 0 {
 		n = prof.Instructions
 	}
-	m := New(model)
-	prog := workload.GenerateCached(prof)
-	return m.RunSourceWarm(workload.NewStream(prog, n), prof, int(float64(n)*WarmupFraction))
-}
-
-// RunSourceWarm drives the machine from an arbitrary instruction source,
-// resetting statistics after the first warm instructions.
-func (m *Machine) RunSourceWarm(src InstSource, prof workload.Profile, warm int) *Result {
-	fed := 0
-	for {
-		d, ok := src.Next()
-		if !ok {
-			break
-		}
-		fed++
-		segs := m.sel.Feed(&d)
-		for i := range segs {
-			m.execSegment(&segs[i])
-			m.sel.Recycle(&segs[i])
-		}
-		if fed == warm {
-			m.ResetStats()
-		}
-	}
-	segs := m.sel.Flush()
-	for i := range segs {
-		m.execSegment(&segs[i])
-		m.sel.Recycle(&segs[i])
-	}
-	m.drain()
-	if m.rec != nil {
-		m.obsFinish()
-	}
-	return m.collect(prof)
+	src := workload.GetStream(workload.GenerateCached(prof), n)
+	defer workload.PutStream(src)
+	return m.RunSourceWarm(src, prof, int(float64(n)*warm))
 }

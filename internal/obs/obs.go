@@ -11,8 +11,8 @@
 // this). When probes are attached, recording is slab-backed: events append
 // into chunked preallocated arrays, never into per-event allocations.
 //
-// The package sits below the machine layers: core, ooo, tcache, trace and
-// opt all call into obs (directly or through small local probe interfaces),
+// The package sits below the machine layers: core, ooo, tcache and opt
+// all call into obs (directly or through small local probe interfaces),
 // and obs imports none of them back except the leaf packages isa, trace,
 // energy and metrics.
 package obs
@@ -65,7 +65,8 @@ const (
 	KStallIQ
 	// KMeasureStart: warmup ended and statistics were reset.
 	KMeasureStart
-	// KSelectEmit: the trace selector finalized a segment. A = TID key,
+	// KSelectEmit: the trace selector finalized a segment (reported from
+	// the selection log just before the segment executes). A = TID key,
 	// B = uops<<32 | joined.
 	KSelectEmit
 	// KSelectJoin: the selector joined an identical consecutive unit into
@@ -198,7 +199,7 @@ type Recorder struct {
 	bioKeys []uint64 // insertion order, for deterministic export
 
 	// clock points at the owning machine's cycle counter so layer probes
-	// (trace cache, selector, optimizer) that have no clock of their own can
+	// (trace cache, optimizer) and the machine's selection events can
 	// stamp events with the machine time of the call.
 	clock *uint64
 
@@ -271,15 +272,17 @@ func (r *Recorder) PipeSwitch(tid trace.TID, toHot bool) {
 	r.Bus.Emit(KPipeSwitch, r.now(), tid.Key(), 0, lane01(toHot))
 }
 
-// SegmentEmitted implements the trace selector's probe: one finalized
-// selection segment, with joining applied.
-func (r *Recorder) SegmentEmitted(tid trace.TID, insts, uops, joined int) {
-	r.Bus.Emit(KSelectEmit, r.now(), tid.Key(), packPair(uops, joined), 0)
-}
-
-// SegmentJoined implements the trace selector's probe for joining events.
-func (r *Recorder) SegmentJoined(tid trace.TID, joined int) {
-	r.Bus.Emit(KSelectJoin, r.now(), tid.Key(), uint64(joined), 0)
+// Selected records the trace selector's decisions for one segment, from
+// the facts a selection log keeps: a join event per identical unit merged
+// into it (the k-th join carries the TID of the first k units, a prefix of
+// the final direction string) and then the emission, joining applied. The
+// machine calls it just before executing the segment.
+func (r *Recorder) Selected(seg *trace.Segment) {
+	unit := seg.NDirsPerUnit()
+	for k := 2; k <= seg.Joined; k++ {
+		r.Bus.Emit(KSelectJoin, r.now(), seg.TID.Prefix(k*unit).Key(), uint64(k), 0)
+	}
+	r.Bus.Emit(KSelectEmit, r.now(), seg.TID.Key(), packPair(seg.Uops, seg.Joined), 0)
 }
 
 // TPred records one trace-predictor decision. pred is zero when the

@@ -60,31 +60,10 @@ type Selector struct {
 	// Stats.
 	Built   uint64 // segments emitted
 	JoinOps uint64 // joining events
-
-	// probe, when non-nil, observes selection decisions (segment emission
-	// with joining applied, and join events). One nil-check branch per
-	// emitted segment; probes observe only.
-	probe Probe
-}
-
-// Probe receives trace-selection events when observability is enabled
-// (implemented by obs.Recorder; the interface lives here so the selector
-// does not depend on the observability layer).
-type Probe interface {
-	// SegmentEmitted reports one finalized selection segment: its TID, the
-	// instruction and uop counts, and how many identical consecutive units
-	// were joined into it (1 = no joining).
-	SegmentEmitted(tid TID, insts, uops, joined int)
-	// SegmentJoined reports one joining event (implicit loop unrolling):
-	// the pending segment absorbed an identical consecutive unit.
-	SegmentJoined(tid TID, joined int)
 }
 
 // NewSelector returns an empty selection state machine.
 func NewSelector() *Selector { return &Selector{} }
-
-// SetProbe attaches (or, with nil, detaches) a selection probe.
-func (s *Selector) SetProbe(p Probe) { s.probe = p }
 
 // Reset returns the selector to its just-constructed state, keeping the
 // slab of recycled instruction storage (machine-pooling Reset protocol).
@@ -99,7 +78,6 @@ func (s *Selector) Reset() {
 	s.hasPending = false
 	s.out = s.out[:0]
 	s.Built, s.JoinOps = 0, 0
-	s.probe = nil // observers are per-run
 }
 
 // grabInsts returns an empty instruction slice, reusing slab storage when
@@ -213,9 +191,6 @@ func (s *Selector) close() {
 			p.MemUops += done.MemUops
 			p.Joined++
 			s.JoinOps++
-			if s.probe != nil {
-				s.probe.SegmentJoined(p.TID, p.Joined)
-			}
 			s.recycleInsts(done.Insts)
 			return
 		}
@@ -223,10 +198,6 @@ func (s *Selector) close() {
 		s.out = append(s.out, *p)
 		s.pending = done
 		s.Built++
-		if s.probe != nil {
-			e := &s.out[len(s.out)-1]
-			s.probe.SegmentEmitted(e.TID, len(e.Insts), e.Uops, e.Joined)
-		}
 		return
 	}
 	s.pending = done
@@ -274,10 +245,6 @@ func (s *Selector) Flush() []Segment {
 		s.pending = Segment{}
 		s.hasPending = false
 		s.Built++
-		if s.probe != nil {
-			e := &s.out[len(s.out)-1]
-			s.probe.SegmentEmitted(e.TID, len(e.Insts), e.Uops, e.Joined)
-		}
 	}
 	return s.out
 }

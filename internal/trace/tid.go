@@ -63,6 +63,14 @@ func (t TID) Concat(o TID) TID {
 	return j
 }
 
+// Prefix returns the TID cut to its first n direction bits: the TID a
+// joined trace had after its first units.
+func (t TID) Prefix(n int) TID {
+	t.Dirs &= 1<<uint(n) - 1
+	t.NDirs = uint8(n)
+	return t
+}
+
 // String implements fmt.Stringer.
 func (t TID) String() string {
 	dirs := make([]byte, t.NDirs)

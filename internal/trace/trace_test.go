@@ -38,6 +38,32 @@ func TestTIDConcat(t *testing.T) {
 	}
 }
 
+// Property: a joined trace's TID cut to its first k units is the TID the
+// selector's joining had after k units, up to the full 64 direction bits.
+func TestTIDPrefixOfJoins(t *testing.T) {
+	f := func(start, dirs uint64, width uint8) bool {
+		unit := TID{Start: start}
+		for i := 0; i < int(width%8)+1; i++ {
+			unit = unit.WithDir(dirs>>i&1 == 1)
+		}
+		joined := unit
+		var steps []TID
+		for int(joined.NDirs)+int(unit.NDirs) <= 64 {
+			joined = joined.Concat(unit)
+			steps = append(steps, joined)
+		}
+		for _, s := range steps {
+			if joined.Prefix(int(s.NDirs)) != s {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: distinct direction strings give distinct keys (within 16 bits).
 func TestTIDKeySensitivity(t *testing.T) {
 	f := func(start uint64, dirs1, dirs2 uint16) bool {

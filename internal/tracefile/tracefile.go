@@ -221,6 +221,7 @@ type Reader struct {
 	r       *bufio.Reader
 	left    uint64
 	err     error
+	buf     [8]byte
 }
 
 // NewReader parses the header and static table, leaving the dynamic section
@@ -356,35 +357,46 @@ func (tr *Reader) Next() (workload.DynInst, bool) {
 		return workload.DynInst{}, false
 	}
 	tr.left--
-	var idx uint32
-	var flags uint8
-	if err := binary.Read(tr.r, binary.LittleEndian, &idx); err != nil {
-		tr.err = err
+	b := tr.read(4)
+	if b == nil {
 		return workload.DynInst{}, false
 	}
-	if err := binary.Read(tr.r, binary.LittleEndian, &flags); err != nil {
-		tr.err = err
+	idx := binary.LittleEndian.Uint32(b)
+	if b = tr.read(1); b == nil {
 		return workload.DynInst{}, false
 	}
+	flags := b[0]
 	var d workload.DynInst
 	if int(idx) >= len(tr.statics) {
 		tr.err = fmt.Errorf("tracefile: bad instruction index %d", idx)
 		return workload.DynInst{}, false
 	}
 	d.Inst = tr.statics[idx]
-	if err := binary.Read(tr.r, binary.LittleEndian, &d.NextPC); err != nil {
-		tr.err = err
+	if b = tr.read(8); b == nil {
 		return workload.DynInst{}, false
 	}
+	d.NextPC = binary.LittleEndian.Uint64(b)
 	if flags&flagHasMem != 0 {
-		if err := binary.Read(tr.r, binary.LittleEndian, &d.MemAddr); err != nil {
-			tr.err = err
+		if b = tr.read(8); b == nil {
 			return workload.DynInst{}, false
 		}
+		d.MemAddr = binary.LittleEndian.Uint64(b)
 	}
 	d.Taken = flags&flagTaken != 0
 	d.EpisodeEnd = flags&flagEpisodeEnd != 0
 	return d, true
+}
+
+// read returns the next k bytes of the dynamic section in the reader's
+// scratch buffer, or nil after recording the error. Unlike binary.Read it
+// allocates nothing, so a long replay makes no per-record garbage.
+func (tr *Reader) read(k int) []byte {
+	b := tr.buf[:k]
+	if _, err := io.ReadFull(tr.r, b); err != nil {
+		tr.err = err
+		return nil
+	}
+	return b
 }
 
 // Err reports a stream decoding error encountered by Next.

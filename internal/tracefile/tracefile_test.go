@@ -2,6 +2,7 @@ package tracefile
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -75,9 +76,12 @@ func TestStaticDeduplication(t *testing.T) {
 	}
 }
 
+// TestSimulateFromTraceFileMatchesDirectRun replays a capture longer than
+// one of the run driver's recording chunks and requires every result
+// field, the labels the file carries included, to equal a direct run's.
 func TestSimulateFromTraceFileMatchesDirectRun(t *testing.T) {
 	p, _ := workload.ByName("flash")
-	n := 20000
+	n := 100_000
 
 	var buf bytes.Buffer
 	if err := Capture(&buf, p, n); err != nil {
@@ -89,15 +93,36 @@ func TestSimulateFromTraceFileMatchesDirectRun(t *testing.T) {
 	}
 
 	m := core.New(config.Get(config.TON))
-	fromFile := m.RunSourceWarm(tr, p, int(float64(n)*core.WarmupFraction))
+	prof := workload.Profile{Name: tr.Name, Suite: tr.Suite}
+	fromFile := m.RunSourceWarm(tr, prof, int(float64(n)*core.WarmupFraction))
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
 	direct := core.RunWarm(config.Get(config.TON), p, n)
 
-	if fromFile.Cycles != direct.Cycles || fromFile.Insts != direct.Insts {
-		t.Errorf("trace-file replay differs: %d/%d vs %d/%d cycles/insts",
-			fromFile.Cycles, fromFile.Insts, direct.Cycles, direct.Insts)
+	if !reflect.DeepEqual(fromFile, direct) {
+		t.Errorf("trace-file replay differs from the direct run:\n file:   %+v\n direct: %+v", fromFile, direct)
 	}
-	if fromFile.DynEnergy != direct.DynEnergy {
-		t.Errorf("energy differs: %v vs %v", fromFile.DynEnergy, direct.DynEnergy)
+}
+
+// TestNextAllocatesNothing pins the reader's streaming half to zero heap
+// allocations per record, so replaying a long capture makes no garbage and
+// its peak memory does not grow with the trace length.
+func TestNextAllocatesNothing(t *testing.T) {
+	p, _ := workload.ByName("gzip")
+	var buf bytes.Buffer
+	if err := Capture(&buf, p, 2000); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(1000, func() { tr.Next() }); a != 0 {
+		t.Errorf("Next allocates %.1f times per record", a)
+	}
+	if tr.Err() != nil {
+		t.Fatal(tr.Err())
 	}
 }
 

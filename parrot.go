@@ -171,8 +171,7 @@ func RunTraceFile(model Model, r io.Reader) (*Result, error) {
 // application's dynamic stream and returns up to max constructed traces —
 // a convenient way to inspect what the PARROT machinery actually builds.
 func SampleTraces(app Profile, insts, max int) []*Trace {
-	prog := workload.Generate(app)
-	stream := workload.NewStream(prog, insts)
+	stream := workload.NewStream(workload.GenerateCached(app), insts)
 	sel := trace.NewSelector()
 	var out []*Trace
 	for {
