@@ -28,8 +28,10 @@
 // Operational surface: GET /metricsz serves every stats series as
 // Prometheus text exposition (parrotctl top renders and asserts on it),
 // GET /v1/trace/{requestID} replays a request's span timeline as Chrome
-// trace-event JSON, and -pprof exposes the runtime profiles. Logs are structured JSON lines on stderr, one per event, each
-// carrying the request ID when request-scoped.
+// trace-event JSON, and -pprof exposes the runtime profiles. Logs are
+// log/slog JSON lines on stderr, one per event; request lines carry reqID,
+// route, status and us (microseconds), and lines logged inside a handler
+// carry the same reqID.
 //
 // SIGINT/SIGTERM drains gracefully: /healthz reports draining, queued and
 // running jobs finish, in-flight HTTP responses complete, then the process
@@ -41,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -57,7 +60,6 @@ import (
 	"parrot/internal/serve/cache"
 	"parrot/internal/serve/sched"
 	"parrot/internal/telemetry"
-	tlog "parrot/internal/telemetry/log"
 )
 
 func main() {
@@ -73,7 +75,7 @@ func run() error {
 	cacheDir := flag.String("cachedir", "", "on-disk result store directory (empty = memory only)")
 	cacheMem := flag.Int64("cachemem", 64<<20, "in-memory cache byte budget")
 	workers := flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
-	queueCap := flag.Int("queue", 4096, "per-priority queue bound")
+	queueCap := flag.Int("queue", 4096, "queued-job bound: admission caps running + queued at queue + workers")
 	prewarm := flag.Bool("prewarm", false, "pre-construct one pooled machine per model before serving")
 	drainTimeout := flag.Duration("draintimeout", 60*time.Second, "max time to drain on shutdown")
 	logLevel := flag.String("loglevel", "info", "log level: debug, info, warn, error")
@@ -89,11 +91,12 @@ func run() error {
 	chaosSpec := flag.String("chaos", "", "deterministic fault-injection rules, e.g. 'site=sched.run p=0.3 lat=20ms; site=cache.disk.get p=0.1 err' (seed from PARROT_CHAOS, default 1)")
 	flag.Parse()
 
-	lv, err := tlog.ParseLevel(*logLevel)
-	if err != nil {
-		return fmt.Errorf("parrotd: %w", err)
+	var lv slog.Level
+	if err := lv.UnmarshalText([]byte(*logLevel)); err != nil {
+		return fmt.Errorf("parrotd: -loglevel: %w", err)
 	}
-	logger := tlog.New(os.Stderr, lv).With(tlog.F("app", "parrotd"))
+	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lv})).
+		With("app", "parrotd")
 	reg := telemetry.NewRegistry()
 
 	// Deterministic chaos injection (off unless -chaos names rules). The
@@ -109,8 +112,7 @@ func run() error {
 		inj = chaos.New(seed, rules)
 		inj.Register(reg)
 		logger.Warn("chaos injection active",
-			tlog.F("seed", fmt.Sprintf("%d", seed)),
-			tlog.F("rules", *chaosSpec))
+			"seed", fmt.Sprintf("%d", seed), "rules", *chaosSpec)
 	}
 
 	c, err := cache.New(cache.Config{MemBudget: *cacheMem, Dir: *cacheDir, Chaos: inj})
@@ -160,11 +162,8 @@ func run() error {
 			Log:           logger,
 			Chaos:         inj,
 		})
-		logger.Info("cluster mode",
-			tlog.F("advertise", self),
-			tlog.F("peers", *peers),
-			tlog.F("probeInterval", probeInterval.String()),
-			tlog.F("deadAfter", deadAfter.String()))
+		logger.Info("cluster mode", "advertise", self, "peers", *peers,
+			"probeInterval", probeInterval.String(), "deadAfter", deadAfter.String())
 	}
 
 	srv := api.New(api.Config{
@@ -190,20 +189,16 @@ func run() error {
 				pool.Prewarm(m, 1)
 			}
 			sc.SetReady(true)
-			logger.Info("prewarmed pool",
-				tlog.F("machines", pool.Size()),
-				tlog.F("took", time.Since(t0).Round(time.Millisecond)))
+			logger.Info("prewarmed pool", "machines", pool.Size(),
+				"took", time.Since(t0).Round(time.Millisecond).String())
 		}()
 	}
 	// The one human-facing line (scripts scrape stdout for it); everything
 	// else is structured JSON on stderr.
 	fmt.Printf("parrotd listening on %s (workers=%d cache=%s)\n",
 		bound, sc.Stats().Workers, cacheDesc(*cacheMem, *cacheDir))
-	logger.Info("listening",
-		tlog.F("addr", bound),
-		tlog.F("workers", sc.Stats().Workers),
-		tlog.F("cache", cacheDesc(*cacheMem, *cacheDir)),
-		tlog.F("pprof", *enablePprof))
+	logger.Info("listening", "addr", bound, "workers", sc.Stats().Workers,
+		"cache", cacheDesc(*cacheMem, *cacheDir), "pprof", *enablePprof)
 
 	hs := &http.Server{Handler: srv.Handler()}
 	errCh := make(chan error, 1)
@@ -223,7 +218,7 @@ func run() error {
 		}
 		return nil
 	case s := <-sig:
-		logger.Info("signal received, draining", tlog.F("signal", s.String()))
+		logger.Info("signal received, draining", "signal", s.String())
 	}
 
 	// Graceful drain: stop accepting scheduler jobs, let queued/running work
@@ -231,7 +226,7 @@ func run() error {
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := sc.Drain(ctx); err != nil {
-		logger.Error("scheduler drain", tlog.F("err", err))
+		logger.Error("scheduler drain", "err", err.Error())
 	}
 	if err := hs.Shutdown(ctx); err != nil {
 		return fmt.Errorf("parrotd: shutdown: %w", err)

@@ -3,12 +3,12 @@ package cluster
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"time"
 
 	"parrot/internal/chaos"
 	"parrot/internal/serve/proto"
 	"parrot/internal/telemetry"
-	tlog "parrot/internal/telemetry/log"
 )
 
 // Config parameterizes a node's cluster layer.
@@ -33,7 +33,7 @@ type Config struct {
 	// Registry receives parrot_cluster_* metrics (nil-safe).
 	Registry *telemetry.Registry
 	// Log receives cluster events (nil = silent).
-	Log *tlog.Logger
+	Log *slog.Logger
 	// Chaos injects deterministic faults on the routing and membership
 	// paths — partition masks, probe failures, clock skew (nil = inert).
 	Chaos *chaos.Injector

@@ -2,13 +2,13 @@ package cluster
 
 import (
 	"context"
+	"log/slog"
 	"math/rand"
 	"sync"
 	"time"
 
 	"parrot/internal/chaos"
 	"parrot/internal/telemetry"
-	tlog "parrot/internal/telemetry/log"
 )
 
 // State is a peer's health in the membership state machine.
@@ -94,7 +94,7 @@ type RegistryConfig struct {
 	// Registry receives parrot_cluster_* membership metrics (nil-safe).
 	Registry *telemetry.Registry
 	// Log receives membership transitions (nil = silent).
-	Log *tlog.Logger
+	Log *slog.Logger
 	// Now is the clock (nil = time.Now; tests inject a fake).
 	Now func() time.Time
 	// Chaos injects deterministic faults on the membership path: site
@@ -108,7 +108,7 @@ type RegistryConfig struct {
 // are safe for concurrent use.
 type Registry struct {
 	cfg RegistryConfig
-	log *tlog.Logger
+	log *slog.Logger // nil = silent
 
 	mu    sync.Mutex
 	nodes map[string]*nodeState
@@ -150,11 +150,13 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	}
 	r := &Registry{
 		cfg:    cfg,
-		log:    cfg.Log.With(tlog.F("component", "cluster")),
 		nodes:  make(map[string]*nodeState),
 		rng:    rand.New(rand.NewSource(int64(keyHash(cfg.Self)) ^ 0x5eed)),
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
+	}
+	if cfg.Log != nil {
+		r.log = cfg.Log.With("component", "cluster")
 	}
 
 	reg := cfg.Registry
@@ -384,18 +386,15 @@ func (r *Registry) observe(id string, err error, probe bool, now time.Time) {
 	}
 	r.mu.Unlock()
 
-	if changed && r.log.Enabled(tlog.LevelInfo) {
-		fields := []tlog.Field{
-			tlog.F("peer", id), tlog.F("state", to.String()),
-			tlog.F("consecFails", consecFails),
-		}
+	if changed && r.log != nil {
+		args := []any{"peer", id, "state", to.String(), "consecFails", consecFails}
 		if ringChanged {
-			fields = append(fields, tlog.F("ringEpoch", epoch))
+			args = append(args, "ringEpoch", epoch)
 		}
 		if err != nil {
-			fields = append(fields, tlog.F("err", err.Error()))
+			args = append(args, "err", err.Error())
 		}
-		r.log.Info("peer state change", fields...)
+		r.log.Info("peer state change", args...)
 	}
 }
 

@@ -126,6 +126,14 @@ var runLogs struct {
 // resetting statistics after the first warm instructions (none when warm
 // <= 0).
 func (m *Machine) RunSourceWarm(src InstSource, prof workload.Profile, warm int) *Result {
+	return m.runPooledLog(src, prof, warm, chunkInsts)
+}
+
+// runPooledLog is run on a chunk log drawn from the free list. A new log's
+// arena fits this run's chunk. A reused log whose arena is too small grows
+// to a whole chunk at once, so budgets that creep upward (a server asked
+// for 50001, 50002, … instructions) do not reallocate it on every run.
+func (m *Machine) runPooledLog(src InstSource, prof workload.Profile, warm, limit int) *Result {
 	runLogs.Lock()
 	var l *SelectionLog
 	if n := len(runLogs.free); n > 0 {
@@ -135,7 +143,10 @@ func (m *Machine) RunSourceWarm(src InstSource, prof workload.Profile, warm int)
 		l = new(SelectionLog)
 	}
 	runLogs.Unlock()
-	res := m.run(l, src, prof, warm, chunkInsts)
+	if c := cap(l.insts); c > 0 && c < limit+2*trace.MaxUops {
+		l.insts = make([]workload.DynInst, 0, chunkInsts+2*trace.MaxUops)
+	}
+	res := m.run(l, src, prof, warm, limit)
 	runLogs.Lock()
 	runLogs.free = append(runLogs.free, l)
 	runLogs.Unlock()

@@ -186,7 +186,9 @@ func TestChunkEdges(t *testing.T) {
 // TestChunkArenaBounded drives a 300k-instruction stream in chunks of
 // 4096: the log's arena never grows past one chunk plus the pending and
 // in-progress segments the selector carries across an edge. The arena only
-// grows, so its final capacity is the run's largest.
+// grows, so its final capacity is the run's largest. A 50k RunWarmOn, the
+// serving layer's cell, is held to the same bound with its budget as the
+// chunk.
 func TestChunkArenaBounded(t *testing.T) {
 	const n, limit = 300_000, 4096
 	prof, _ := workload.ByName("gcc")
@@ -198,5 +200,40 @@ func TestChunkArenaBounded(t *testing.T) {
 	}
 	if res.Insts == 0 {
 		t.Fatal("empty run")
+	}
+
+	// A single run below one chunk sizes its log to its own budget: with
+	// the free list emptied, the log RunWarmOn draws is a new one, and it
+	// holds no more than the budget plus the carried segments. A run one
+	// instruction longer reuses that log and grows it to a whole chunk at
+	// once, so a creeping budget does not reallocate it on every run.
+	const budget = 50_000
+	runLogs.Lock()
+	saved := runLogs.free
+	runLogs.free = nil
+	runLogs.Unlock()
+	defer func() {
+		runLogs.Lock()
+		runLogs.free = saved
+		runLogs.Unlock()
+	}()
+	m := New(config.Get(config.N))
+	for _, n := range []int{budget, budget + 1} {
+		m.Reset()
+		RunWarmOn(m, prof, n)
+		runLogs.Lock()
+		free := runLogs.free
+		runLogs.Unlock()
+		if len(free) != 1 {
+			t.Fatalf("free list holds %d logs after one run at a time, want 1", len(free))
+		}
+		c := cap(free[0].insts)
+		switch {
+		case n == budget && c > budget+2*trace.MaxUops:
+			t.Errorf("arena capacity %d after a %d-instruction RunWarmOn; bound %d", c, n, budget+2*trace.MaxUops)
+		case n > budget && c != chunkInsts+2*trace.MaxUops:
+			t.Errorf("arena capacity %d after a %d-instruction RunWarmOn on a %d-instruction log; want a whole chunk, %d",
+				c, n, budget, chunkInsts+2*trace.MaxUops)
+		}
 	}
 }

@@ -116,11 +116,13 @@ func RunWarmFresh(model config.Model, prof workload.Profile, n int) *Result {
 
 // runStream runs n instructions of prof's stream (n <= 0 = the profile's
 // default) on m, resetting statistics after the first warm share of them.
+// A budget below one chunk is recorded as one chunk of exactly n, so the
+// log's arena is sized to the run, not to chunkInsts.
 func runStream(m *Machine, prof workload.Profile, n int, warm float64) *Result {
 	if n <= 0 {
 		n = prof.Instructions
 	}
 	src := workload.GetStream(workload.GenerateCached(prof), n)
 	defer workload.PutStream(src)
-	return m.RunSourceWarm(src, prof, int(float64(n)*warm))
+	return m.runPooledLog(src, prof, int(float64(n)*warm), min(n, chunkInsts))
 }

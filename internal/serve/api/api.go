@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -42,7 +43,6 @@ import (
 	"parrot/internal/serve/proto"
 	"parrot/internal/serve/sched"
 	"parrot/internal/telemetry"
-	tlog "parrot/internal/telemetry/log"
 	"parrot/internal/workload"
 )
 
@@ -61,7 +61,7 @@ type Config struct {
 	// registry to sched.New so its series appear too).
 	Registry *telemetry.Registry
 	// Log receives structured request logs (nil = silent).
-	Log *tlog.Logger
+	Log *slog.Logger
 	// TraceBuf bounds the request-trace ring buffer (<=0 = 256 traces).
 	TraceBuf int
 	// EnablePprof exposes net/http/pprof under /debug/pprof/.
@@ -82,7 +82,7 @@ type Server struct {
 	mux    *http.ServeMux
 	start  time.Time
 	reg    *telemetry.Registry
-	log    *tlog.Logger
+	log    *slog.Logger // nil = silent
 	traces *telemetry.TraceStore
 
 	reqTotal func(route, code string) *telemetry.Counter
@@ -114,8 +114,10 @@ func New(cfg Config) *Server {
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
 		reg:    cfg.Registry,
-		log:    cfg.Log.With(tlog.F("component", "api")),
 		traces: telemetry.NewTraceStore(cfg.TraceBuf),
+	}
+	if cfg.Log != nil {
+		s.log = cfg.Log.With("component", "api")
 	}
 
 	// HTTP-level instruments. The closures mint label variants lazily; the
@@ -279,8 +281,11 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				}
 			}
 		}
-		rlog := s.log.With(tlog.F("reqID", reqID), tlog.F("route", route))
-		ctx = tlog.WithContext(ctx, rlog)
+		var rlog *slog.Logger
+		if s.log != nil {
+			rlog = s.log.With("reqID", reqID, "route", route)
+			ctx = telemetry.WithLogger(ctx, rlog)
+		}
 		var tr *telemetry.Trace
 		if traced {
 			tr = telemetry.NewTrace(reqID)
@@ -304,22 +309,13 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		code := fmt.Sprintf("%d", sw.code)
 		s.reqTotal(route, code).Inc()
 		s.reqSecs(route).Observe(elapsed.Seconds())
-		if traced {
-			lv := tlog.LevelInfo
+		if traced && rlog != nil {
+			lv, msg := slog.LevelInfo, "request served"
 			if sw.code >= 500 {
-				lv = tlog.LevelError
+				lv, msg = slog.LevelError, "request failed"
 			}
-			if rlog.Enabled(lv) {
-				fields := []tlog.Field{
-					tlog.F("status", sw.code),
-					tlog.F("us", elapsed.Microseconds()),
-				}
-				if lv == tlog.LevelError {
-					rlog.Error("request failed", fields...)
-				} else {
-					rlog.Info("request served", fields...)
-				}
-			}
+			rlog.LogAttrs(ctx, lv, msg,
+				slog.Int("status", sw.code), slog.Int64("us", elapsed.Microseconds()))
 		}
 	})
 }
@@ -358,7 +354,7 @@ func resolveSpec(modelID, appName string, insts int) (experiments.RunSpec, error
 // schedErrStatus maps scheduler errors onto HTTP statuses.
 func schedErrStatus(err error) int {
 	switch {
-	case errors.Is(err, sched.ErrQueueFull), errors.Is(err, sched.ErrShed):
+	case errors.Is(err, sched.ErrShed):
 		return http.StatusTooManyRequests
 	case errors.Is(err, sched.ErrDraining):
 		return http.StatusServiceUnavailable
@@ -503,8 +499,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			if !errors.Is(ferr, cluster.ErrRouteLocal) {
 				cl.NoteForward(false)
 				rescued = true
-				tlog.From(ctx).Warn("forward failed, rescuing locally",
-					tlog.F("digest", digest[:12]), tlog.F("err", ferr.Error()))
+				if l := telemetry.LoggerFrom(ctx); l != nil {
+					l.Warn("forward failed, rescuing locally",
+						"digest", digest[:12], "err", ferr.Error())
+				}
 			}
 			if s.cfg.Cache != nil {
 				// The replica lookup above was this request's cache probe.

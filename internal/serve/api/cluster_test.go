@@ -40,8 +40,9 @@ func (n *clusterNode) kill() { n.hs.Close() }
 // advertise list before its cluster layer is built, exactly as parrotd's
 // -peers flag provides it. The membership probe loop is NOT started:
 // tests drive state through traffic (passive reports), keeping them
-// deterministic.
-func testCluster(t *testing.T, n int) []*clusterNode {
+// deterministic. tune, when non-nil, adjusts node i's cluster and API
+// configuration before they are built.
+func testCluster(t *testing.T, n int, tune func(i int, cc *cluster.Config, ac *Config)) []*clusterNode {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -61,7 +62,7 @@ func testCluster(t *testing.T, n int) []*clusterNode {
 		}
 		reg := telemetry.NewRegistry()
 		sc := sched.New(sched.Config{Workers: 2, Cache: ca, Pool: core.NewPool(), Registry: reg})
-		cl := cluster.New(cluster.Config{
+		cc := cluster.Config{
 			Advertise: urls[i],
 			Peers:     urls,
 			VNodes:    32,
@@ -71,8 +72,14 @@ func testCluster(t *testing.T, n int) []*clusterNode {
 				BaseBackoff: time.Millisecond,
 				MaxBackoff:  5 * time.Millisecond,
 			}},
-		})
-		srv := New(Config{Cache: ca, Sched: sc, Registry: reg, Cluster: cl})
+		}
+		ac := Config{Cache: ca, Sched: sc, Registry: reg}
+		if tune != nil {
+			tune(i, &cc, &ac)
+		}
+		cl := cluster.New(cc)
+		ac.Cluster = cl
+		srv := New(ac)
 		hs := &httptest.Server{Listener: lns[i], Config: &http.Server{Handler: srv.Handler()}}
 		hs.Start()
 		nodes[i] = &clusterNode{url: urls[i], hs: hs, ca: ca, sc: sc, cl: cl, c: client.New(urls[i])}
@@ -111,7 +118,7 @@ func cellOwnedBy(t *testing.T, nd *clusterNode, owner string, insts int) (model,
 // its ring owner exactly once (the hop guard stops re-forwarding), and the
 // response says which node actually served it.
 func TestClusterForwardAndHopGuard(t *testing.T) {
-	nodes := testCluster(t, 2)
+	nodes := testCluster(t, 2, nil)
 	ctx := context.Background()
 
 	model, app, digest := cellOwnedBy(t, nodes[0], nodes[1].url, 3000)
@@ -159,7 +166,7 @@ func TestClusterForwardAndHopGuard(t *testing.T) {
 // owner while all nodes are healthy, and a warm second pass through a
 // different coordinator is all cache hits.
 func TestClusterMatrixDigestAndOwnership(t *testing.T) {
-	nodes := testCluster(t, 3)
+	nodes := testCluster(t, 3, nil)
 	ctx := context.Background()
 
 	modelIDs := []string{"N", "TON"}
@@ -228,7 +235,7 @@ func TestClusterMatrixDigestAndOwnership(t *testing.T) {
 // is dead still succeeds — the coordinator fails over or rescues the cell
 // locally — and is never served by the dead node.
 func TestClusterRunRescuedAfterOwnerDeath(t *testing.T) {
-	nodes := testCluster(t, 3)
+	nodes := testCluster(t, 3, nil)
 	ctx := context.Background()
 
 	victim := nodes[2]
@@ -252,7 +259,7 @@ func TestClusterRunRescuedAfterOwnerDeath(t *testing.T) {
 // a matrix completes with zero failed cells, reproduces the in-process
 // digest, and records recoveries for the dead node's cells.
 func TestClusterMatrixSurvivesNodeDeath(t *testing.T) {
-	nodes := testCluster(t, 3)
+	nodes := testCluster(t, 3, nil)
 	ctx := context.Background()
 
 	modelIDs := []string{"N", "TON"}
@@ -329,7 +336,7 @@ func TestClusterMatrixSurvivesNodeDeath(t *testing.T) {
 // TestClusterzAndReadyz: /clusterz exposes the ring view; /readyz gates on
 // prewarm/drain state while /healthz stays alive.
 func TestClusterzAndReadyz(t *testing.T) {
-	nodes := testCluster(t, 2)
+	nodes := testCluster(t, 2, nil)
 	ctx := context.Background()
 
 	st, err := nodes[0].c.Cluster(ctx)

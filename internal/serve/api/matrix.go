@@ -14,7 +14,6 @@ import (
 	"parrot/internal/experiments"
 	"parrot/internal/serve/proto"
 	"parrot/internal/telemetry"
-	tlog "parrot/internal/telemetry/log"
 	"parrot/internal/workload"
 )
 
@@ -26,10 +25,8 @@ import (
 // the same canonical hashing as an in-process experiments.Run — or a
 // terminal "error" event.
 //
-// Cells are submitted in model-major order (so sched's model-affinity
-// batching finds cells for the machine a worker holds) and deduplicated
-// per digest, so concurrent matrix requests over the same spec share
-// simulations instead of multiplying them.
+// Cells are deduplicated per digest, so concurrent matrix requests over
+// the same spec share simulations instead of multiplying them.
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	var req proto.MatrixRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -76,8 +73,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 
 	// Fan out: one waiter goroutine per cell (they mostly block on shared
 	// flights or remote calls; local concurrency is the scheduler's worker
-	// cap). Model-major order keeps consecutive batch jobs on the same
-	// model. With a cluster configured, each cell is routed to its ring
+	// cap). With a cluster configured, each cell is routed to its ring
 	// owner — the gather loop below survives owner death because
 	// runMatrixCell retries elsewhere and finally rescues locally.
 	for mi, m := range models {
@@ -219,8 +215,10 @@ func (s *Server) runMatrixCell(ctx context.Context, spec experiments.RunSpec, mo
 				// the cell on this coordinator. The matrix stays complete as
 				// long as this node lives.
 				rescue = true
-				tlog.From(ctx).Warn("cell rescue: running locally",
-					tlog.F("cell", model+"/"+app), tlog.F("err", err.Error()))
+				if l := telemetry.LoggerFrom(ctx); l != nil {
+					l.Warn("cell rescue: running locally",
+						"cell", model+"/"+app, "err", err.Error())
+				}
 			}
 		} else {
 			cl.NoteLocal()

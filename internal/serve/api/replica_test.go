@@ -77,7 +77,7 @@ func assertSpanNames(t *testing.T, spans []telemetry.Span, want ...string) {
 // cache hit served by the coordinator itself, without another forward,
 // and records one cache.get span and nothing else below http.request.
 func TestClusterRepeatRunServedFromReplica(t *testing.T) {
-	nodes := testCluster(t, 2)
+	nodes := testCluster(t, 2, nil)
 	ctx := context.Background()
 	coord, owner := nodes[0], nodes[1]
 
@@ -130,7 +130,7 @@ func TestClusterRepeatRunServedFromReplica(t *testing.T) {
 // replica lookup misses, the forward fails and the cell is rescued
 // locally — and the rescue does not probe the cache a second time.
 func TestClusterRescueProbesCacheOnce(t *testing.T) {
-	nodes := testCluster(t, 2)
+	nodes := testCluster(t, 2, nil)
 	ctx := context.Background()
 	coord, owner := nodes[0], nodes[1]
 

@@ -1,14 +1,19 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
+	"parrot/internal/cluster"
 	"parrot/internal/config"
 	"parrot/internal/core"
 	"parrot/internal/experiments"
@@ -17,7 +22,6 @@ import (
 	"parrot/internal/serve/proto"
 	"parrot/internal/serve/sched"
 	"parrot/internal/telemetry"
-	tlog "parrot/internal/telemetry/log"
 	"parrot/internal/workload"
 )
 
@@ -283,7 +287,6 @@ func TestMetricszCoversEveryStat(t *testing.T) {
 		"sched.batchDepth":       `parrot_queue_depth{class="batch"}`,
 		"sched.completed":        "parrot_sched_completed_total",
 		"sched.deduped":          `parrot_sched_outcomes_total{outcome="deduped"}`,
-		"sched.rejected":         `parrot_sched_outcomes_total{outcome="rejected"}`,
 		"sched.abandoned":        "parrot_sched_abandoned_total",
 		"sched.cacheHits":        `parrot_sched_outcomes_total{outcome="cache_hit"}`,
 		"sched.simInsts":         "parrot_sim_insts_total",
@@ -341,7 +344,8 @@ func TestTelemetryPreservesResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	logger := tlog.New(os.Stderr, tlog.LevelError) // real sink, quiet level
+	// Real sink, quiet level.
+	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
 	s := sched.New(sched.Config{Workers: 2, Cache: c, Pool: core.NewPool(), Registry: reg, Log: logger})
 	srv := New(Config{Cache: c, Sched: s, Registry: reg, Log: logger, TraceBuf: 16, EnablePprof: true})
 	hs := httptest.NewServer(srv.Handler())
@@ -402,4 +406,116 @@ func TestTelemetryPreservesResults(t *testing.T) {
 	if pr.StatusCode != http.StatusOK {
 		t.Fatalf("pprof index = %d", pr.StatusCode)
 	}
+}
+
+// lockedBuffer is a log sink safe to read while server goroutines write.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// lines decodes every JSON line written so far and empties the buffer.
+func (b *lockedBuffer) lines(t *testing.T) []map[string]any {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var out []map[string]any
+	for _, ln := range strings.Split(strings.TrimSpace(b.buf.String()), "\n") {
+		if ln == "" {
+			continue
+		}
+		var m map[string]any
+		if err := json.Unmarshal([]byte(ln), &m); err != nil {
+			t.Fatalf("log line %q is not JSON: %v", ln, err)
+		}
+		out = append(out, m)
+	}
+	b.buf.Reset()
+	return out
+}
+
+// TestRequestLog runs a cluster node whose API logs through a slog JSON
+// handler. Every line written is one JSON object. A traced /v1/run writes
+// one request line whose reqID is the X-Parrot-Request-Id response header
+// and which carries route, status and us. A line logged inside the handler
+// carries the same reqID: the forward-failure Warn when the cell's owner is
+// down.
+func TestRequestLog(t *testing.T) {
+	var sink lockedBuffer
+	logger := slog.New(slog.NewJSONHandler(&sink, nil))
+	nodes := testCluster(t, 2, func(i int, cc *cluster.Config, ac *Config) {
+		if i == 0 {
+			ac.Log = logger
+			cc.Client.Retry.MaxAttempts = 1 // a failed forward is final
+		}
+	})
+	run := func(t *testing.T, model, app string) string {
+		t.Helper()
+		body, _ := json.Marshal(proto.RunRequest{Model: model, App: app, Insts: 4000})
+		resp, err := http.Post(nodes[0].url+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/run %s/%s: status %d", model, app, resp.StatusCode)
+		}
+		return resp.Header.Get(RequestIDHeader)
+	}
+	checkRequestLine := func(t *testing.T, line map[string]any, reqID string) {
+		t.Helper()
+		if line["msg"] != "request served" || line["reqID"] != reqID || line["route"] != "run" ||
+			line["status"] != float64(http.StatusOK) {
+			t.Fatalf("request line %v, want msg \"request served\", reqID %s, route run, status 200", line, reqID)
+		}
+		if us, ok := line["us"].(float64); !ok || us < 0 {
+			t.Fatalf("request line %v has no us field", line)
+		}
+	}
+	localModel, localApp, _ := cellOwnedBy(t, nodes[0], nodes[0].url, 4000)
+
+	t.Run("JSONLines", func(t *testing.T) {
+		run(t, localModel, localApp)
+		lines := sink.lines(t) // fails on any line that is not one JSON object
+		if len(lines) != 1 {
+			t.Fatalf("a local /v1/run wrote %d lines, want 1: %v", len(lines), lines)
+		}
+		for _, key := range []string{"time", "level", "msg"} {
+			if _, ok := lines[0][key]; !ok {
+				t.Fatalf("line %v has no %q key", lines[0], key)
+			}
+		}
+	})
+
+	t.Run("BindsFields", func(t *testing.T) {
+		reqID := run(t, localModel, localApp)
+		lines := sink.lines(t)
+		if len(lines) != 1 {
+			t.Fatalf("a local /v1/run wrote %d lines, want 1: %v", len(lines), lines)
+		}
+		checkRequestLine(t, lines[0], reqID)
+	})
+
+	t.Run("ContextPlumbing", func(t *testing.T) {
+		model, app, _ := cellOwnedBy(t, nodes[0], nodes[1].url, 4000)
+		nodes[1].kill()
+		reqID := run(t, model, app)
+		lines := sink.lines(t)
+		if len(lines) != 2 {
+			t.Fatalf("a rescued /v1/run wrote %d lines, want the forward warning and the request line: %v", len(lines), lines)
+		}
+		if w := lines[0]; w["level"] != "WARN" || w["msg"] != "forward failed, rescuing locally" || w["reqID"] != reqID {
+			t.Fatalf("handler line %v, want the forward-failure warning with reqID %s", w, reqID)
+		}
+		checkRequestLine(t, lines[1], reqID)
+	})
 }

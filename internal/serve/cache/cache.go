@@ -31,7 +31,6 @@ import (
 	"parrot/internal/core"
 	"parrot/internal/experiments"
 	"parrot/internal/telemetry"
-	tlog "parrot/internal/telemetry/log"
 )
 
 // Stats counts cache traffic. Hits = MemHits + DiskHits.
@@ -219,8 +218,8 @@ func (c *Cache) getCtx(ctx context.Context, digest string, disk bool) (*core.Res
 	res, resDigest, source, ok := c.get(digest, disk)
 	sp.SetAttr("outcome", source)
 	sp.End()
-	if source == "disk" {
-		tlog.From(ctx).Debug("cache disk promote", tlog.F("digest", shortKey(digest)))
+	if l := telemetry.LoggerFrom(ctx); l != nil && source == "disk" {
+		l.Debug("cache disk promote", "digest", shortKey(digest))
 	}
 	return res, resDigest, ok
 }

@@ -41,14 +41,15 @@ func (e *ShedError) Is(target error) bool { return target == ErrShed }
 //
 // Only interactive waits drive it: interactive latency is the SLO, while
 // batch (matrix fan-out) jobs queueing deeply is the design working as
-// intended. A pure batch workload therefore never sheds adaptively — the
-// hard QueueCap stays the backstop — but the moment interactive traffic
-// shows queue pressure, the limit multiplicatively collapses toward fleet
-// capacity and batch admission (gated at batchShare of the limit) sheds
-// first. Below-target waits grow the limit additively (+1), the classic
-// AIMD sawtooth around achievable concurrency; once no decrease has fired
-// for recoverAfter, the limit also drifts back toward max over ~10s so a
-// storm's clamp does not outlive the storm.
+// intended. A pure batch workload therefore never lowers the limit: it
+// sheds only at batchShare of max (QueueCap + Workers), the one load bound
+// there is. The moment interactive traffic shows queue pressure, the limit
+// multiplicatively collapses toward fleet capacity and batch admission
+// (gated at batchShare of the limit) sheds first. Below-target waits grow
+// the limit additively (+1), the classic AIMD sawtooth around achievable
+// concurrency; once no decrease has fired for recoverAfter, the limit also
+// drifts back toward max over ~10s so a storm's clamp does not outlive the
+// storm.
 //
 // The limiter is guarded by the scheduler's own mutex — every method is
 // called with s.mu held — and takes `now` explicitly so fake-clock tests
@@ -69,16 +70,12 @@ const (
 	limiterRecoverWait = time.Second            // quiet period before drifting up
 )
 
-func newLimiter(target time.Duration, min, max float64, now time.Time) *limiter {
+// newLimiter bounds the limit to [workers+1, queueCap+workers] jobs.
+func newLimiter(target time.Duration, workers, queueCap int, now time.Time) *limiter {
 	if target <= 0 {
 		target = 250 * time.Millisecond
 	}
-	if min < 1 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
+	min, max := float64(workers+1), float64(queueCap+workers)
 	return &limiter{
 		target:      target,
 		min:         min,

@@ -3,6 +3,8 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -12,19 +14,32 @@ import (
 	"parrot/internal/experiments"
 )
 
-// holdWorker parks the first popped job at the test hook until release is
-// closed, so tests can build queue state deterministically behind it.
-func holdWorker(s *Sched) (held, release chan struct{}) {
-	held = make(chan struct{})
-	release = make(chan struct{})
-	var once sync.Once
-	s.testHookBeforeRun = func(experiments.RunSpec) {
-		once.Do(func() {
-			close(held)
-			<-release
-		})
+// holdWorker parks every popped job at the test hook until release is
+// called, so tests can build queue state deterministically behind the
+// held workers. held closes when the first job reaches the hook; onPop,
+// when non-nil, sees each job's spec as it arrives there.
+//
+// holdWorker owns s's shutdown: on every exit path of the test, a failed
+// assertion included, it releases the workers and then drains s. A test
+// that deferred Drain itself would hang on the parked worker instead of
+// failing.
+func holdWorker(t *testing.T, s *Sched, onPop func(experiments.RunSpec)) (held <-chan struct{}, release func()) {
+	h := make(chan struct{})
+	r := make(chan struct{})
+	var heldOnce, releaseOnce sync.Once
+	s.testHookBeforeRun = func(sp experiments.RunSpec) {
+		if onPop != nil {
+			onPop(sp)
+		}
+		heldOnce.Do(func() { close(h) })
+		<-r
 	}
-	return held, release
+	release = func() { releaseOnce.Do(func() { close(r) }) }
+	t.Cleanup(func() {
+		release()
+		s.Drain(context.Background())
+	})
+	return h, release
 }
 
 // seedCost plants a run-time estimate for a model, bypassing the EWMA
@@ -40,8 +55,7 @@ func seedCost(s *Sched, id config.ModelID, est time.Duration) {
 // still admits, and each shed carries a usable Retry-After hint.
 func TestAdmissionShedsBatchBeforeInteractive(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 16, Cache: newCache(t), Pool: core.NewPool()})
-	defer s.Drain(context.Background())
-	held, release := holdWorker(s)
+	held, release := holdWorker(t, s, nil)
 
 	go func() { s.Submit(context.Background(), spec(t, config.N, "gzip", 5000)) }()
 	<-held
@@ -85,30 +99,63 @@ func TestAdmissionShedsBatchBeforeInteractive(t *testing.T) {
 	if st.ShedBatch != 1 || st.ShedInteractive != 1 {
 		t.Fatalf("sheds = %d batch / %d interactive, want 1 / 1", st.ShedBatch, st.ShedInteractive)
 	}
-	close(release)
+	release()
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestQueueFullBeatsAdmission pins the gate order: with the queue already at
-// QueueCap, the legacy ErrQueueFull fires even when the admission limiter
-// would also have shed the job.
-func TestQueueFullBeatsAdmission(t *testing.T) {
-	s := New(Config{Workers: 1, QueueCap: 1, Cache: newCache(t), Pool: core.NewPool()})
-	defer s.Drain(context.Background())
-	held, release := holdWorker(s)
-	defer close(release)
+// TestAdmissionProperty: admission is the one load gate, whatever the
+// fleet and queue sizes and the class mix. With every worker held, random
+// interactive and batch submits of distinct specs either enqueue or shed
+// with a Retry-After hint, and running + queued never exceeds
+// QueueCap + Workers.
+func TestAdmissionProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 16; trial++ {
+		workers, queueCap := 1+rng.Intn(4), 1+rng.Intn(8)
+		pris := make([]Priority, 2*(queueCap+workers)+4)
+		for i := range pris {
+			pris[i] = Priority(rng.Intn(2))
+		}
+		t.Run(fmt.Sprintf("w%d_q%d_%d", workers, queueCap, trial), func(t *testing.T) {
+			s := New(Config{Workers: workers, QueueCap: queueCap, Pool: core.NewPool()})
+			holdWorker(t, s, nil)
+			// Cancelled before the workers are released: every job is then
+			// abandoned at the hook, so nothing simulates.
+			ctx, cancel := context.WithCancel(context.Background())
+			t.Cleanup(cancel)
 
-	go func() { s.Submit(context.Background(), spec(t, config.N, "gzip", 5000)) }()
-	<-held
-	go func() { s.Submit(context.Background(), spec(t, config.N, "swim", 5000)) }()
-	waitFor(t, func() bool { return s.Stats().InteractiveDepth == 1 })
-
-	s.SetAdmitLimit(1) // would shed everything — but the full queue wins
-	_, _, err := s.Submit(context.Background(), spec(t, config.N, "gcc", 5000))
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("err = %v, want ErrQueueFull ahead of admission shed", err)
+			accepted, shed := 0, 0
+			for i, pri := range pris {
+				sp := spec(t, config.N, "gzip", 1000+i)
+				errs := make(chan error, 1)
+				go func() {
+					_, _, err := s.submit(ctx, sp, pri)
+					errs <- err
+				}()
+				waitFor(t, func() bool { return s.Stats().Submitted == uint64(i+1) })
+				if s.Stats().Enqueued == uint64(accepted+1) {
+					accepted++
+					// Let idle workers pop, so the queue state is settled.
+					waitFor(t, func() bool { return s.Stats().Running == min(workers, accepted) })
+				} else {
+					err := <-errs
+					var se *ShedError
+					if !errors.As(err, &se) || se.RetryAfter < 100*time.Millisecond {
+						t.Fatalf("submit %d (%s): err = %v, want a *ShedError with a Retry-After of at least 100ms", i, pri, err)
+					}
+					shed++
+				}
+				st := s.Stats()
+				if load := st.Running + st.InteractiveDepth + st.BatchDepth; load > queueCap+workers {
+					t.Fatalf("submit %d: running + queued = %d, above QueueCap + Workers = %d", i, load, queueCap+workers)
+				}
+			}
+			if shed == 0 {
+				t.Fatalf("%d submits against a bound of %d shed none", len(pris), queueCap+workers)
+			}
+		})
 	}
 }
 
@@ -142,8 +189,7 @@ func TestDeadlineUnmeetableFastFails(t *testing.T) {
 // context.DeadlineExceeded instead of simulated.
 func TestDeadlineEvictsQueuedJob(t *testing.T) {
 	s := New(Config{Workers: 1, Cache: newCache(t), Pool: core.NewPool()})
-	defer s.Drain(context.Background())
-	held, release := holdWorker(s)
+	held, release := holdWorker(t, s, nil)
 
 	go func() { s.Submit(context.Background(), spec(t, config.N, "gzip", 5000)) }()
 	<-held
@@ -160,7 +206,7 @@ func TestDeadlineEvictsQueuedJob(t *testing.T) {
 	waitFor(t, func() bool { return s.Stats().InteractiveDepth == 1 })
 
 	seedCost(s, config.W, 2*time.Hour) // now + 2h can never beat now + 1h
-	close(release)
+	release()
 	if err := <-errs; !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -205,7 +251,6 @@ func TestDrainUnderLoad(t *testing.T) {
 								t.Error("accepted submit returned nil result")
 							}
 						case errors.Is(err, ErrDraining),
-							errors.Is(err, ErrQueueFull),
 							errors.Is(err, ErrShed):
 							// Published rejection sentinels — fine under drain.
 						default:

@@ -7,18 +7,16 @@
 //     share one execution — the hallmark of a thundering-herd matrix
 //     workload where many clients ask for the same 44×7 cells;
 //   - two priority classes: interactive (single-cell, latency-sensitive)
-//     jobs always pop before batch (matrix fan-out) jobs;
-//   - model-affinity batching: among batch jobs, a worker prefers cells on
-//     the machine model it already holds, so the pooled machine is Reset
-//     and reused instead of re-fetched per cell;
-//   - bounded queues with explicit rejection (ErrQueueFull) instead of
-//     unbounded buffering, and per-caller context cancellation: a waiter
-//     that gives up stops waiting immediately, and a queued job whose
-//     every waiter has gone away is abandoned without simulating;
-//   - adaptive admission control: an AIMD limiter over total load
-//     (running + queued), fed by observed interactive queue waits vs. a
-//     target, sheds work (*ShedError → 429 + Retry-After upstream) before
-//     queues grow hopeless — batch sheds before interactive (limiter.go);
+//     jobs always pop before batch (matrix fan-out) jobs; each class pops
+//     in FIFO order;
+//   - one admission gate: an AIMD limiter over total load (running +
+//     queued), capped at QueueCap + Workers and fed by observed interactive
+//     queue waits vs. a target, sheds work (*ShedError → 429 + Retry-After
+//     upstream) instead of buffering it — batch sheds before interactive
+//     (limiter.go);
+//   - per-caller context cancellation: a waiter that gives up stops
+//     waiting immediately, and a queued job whose every waiter has gone
+//     away is abandoned without simulating;
 //   - deadline awareness: a submit whose remaining ctx deadline is below
 //     the cost model's run-time estimate fast-fails with
 //     ErrDeadlineUnmeetable, and a queued job whose deadline lapses before
@@ -32,15 +30,16 @@
 // write-back. Stats counters follow a strict no-torn-reads discipline:
 // each submit outcome increments Submitted *and* its outcome counter
 // inside one critical section, so any Stats() snapshot has Submitted equal
-// to the exact sum of CacheHits, Deduped, Enqueued, Rejected,
-// DrainRejected, ShedInteractive, ShedBatch and DeadlineRejected (pinned
-// by TestStatsNeverTorn under the race detector).
+// to the exact sum of CacheHits, Deduped, Enqueued, DrainRejected,
+// ShedInteractive, ShedBatch and DeadlineRejected (pinned by
+// TestStatsNeverTorn under the race detector).
 package sched
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"strconv"
 	"sync"
@@ -52,7 +51,6 @@ import (
 	"parrot/internal/experiments"
 	"parrot/internal/serve/cache"
 	"parrot/internal/telemetry"
-	tlog "parrot/internal/telemetry/log"
 )
 
 // Priority selects the queue class of a job.
@@ -99,17 +97,15 @@ func (d Disposition) String() string {
 // the worker fleet.
 func (d Disposition) Cached() bool { return d == DispCacheHit }
 
-// Sentinel errors of Submit.
-var (
-	ErrQueueFull = errors.New("sched: queue full")
-	ErrDraining  = errors.New("sched: draining")
-)
+// ErrDraining is Submit's rejection once Drain has begun.
+var ErrDraining = errors.New("sched: draining")
 
 // Config parameterizes a scheduler.
 type Config struct {
 	// Workers is the fleet size (<=0 = GOMAXPROCS).
 	Workers int
-	// QueueCap bounds each priority queue (<=0 = 4096 jobs).
+	// QueueCap bounds the queued jobs (<=0 = 4096): admission caps
+	// running + queued at QueueCap + Workers.
 	QueueCap int
 	// Cache, when non-nil, front-ends every submit and receives every
 	// computed result.
@@ -124,14 +120,11 @@ type Config struct {
 	Registry *telemetry.Registry
 	// Log, when non-nil, receives structured events (abandoned jobs,
 	// drain lifecycle).
-	Log *tlog.Logger
+	Log *slog.Logger
 	// AdmitTarget is the interactive queue-wait target feeding the AIMD
 	// admission limiter (<=0 = 250ms). Waits above it shrink the
 	// concurrency limit multiplicatively; waits below grow it additively.
 	AdmitTarget time.Duration
-	// AdmitMin / AdmitMax bound the admission limit in jobs
-	// (running + queued). Defaults: Workers+1 and QueueCap+Workers.
-	AdmitMin, AdmitMax int
 	// Now overrides the scheduler's clock (nil = time.Now) — the fake-clock
 	// seam the drain-under-load and limiter tests use.
 	Now func() time.Time
@@ -142,14 +135,13 @@ type Config struct {
 }
 
 // Stats counts scheduler traffic. At any instant,
-// Submitted == CacheHits + Deduped + Enqueued + Rejected + DrainRejected
+// Submitted == CacheHits + Deduped + Enqueued + DrainRejected
 // + ShedInteractive + ShedBatch + DeadlineRejected.
 type Stats struct {
 	Submitted        uint64 // Submit calls
 	CacheHits        uint64 // served from cache without queueing
 	Deduped          uint64 // joined an in-flight identical spec
 	Enqueued         uint64 // entered a queue
-	Rejected         uint64 // bounced on a full queue
 	DrainRejected    uint64 // bounced because the scheduler is draining
 	ShedInteractive  uint64 // interactive jobs bounced by admission control
 	ShedBatch        uint64 // batch jobs bounced by admission control
@@ -211,7 +203,7 @@ type job struct {
 type Sched struct {
 	cfg      Config
 	pool     *core.Pool
-	log      *tlog.Logger
+	log      *slog.Logger // nil = silent
 	mu       sync.Mutex
 	cond     *sync.Cond
 	qi, qb   []*job // interactive / batch FIFOs
@@ -248,8 +240,10 @@ func New(cfg Config) *Sched {
 	s := &Sched{
 		cfg:      cfg,
 		pool:     cfg.Pool,
-		log:      cfg.Log.With(tlog.F("component", "sched")),
 		inflight: make(map[string]*flight),
+	}
+	if cfg.Log != nil {
+		s.log = cfg.Log.With("component", "sched")
 	}
 	if s.pool == nil {
 		s.pool = core.DefaultPool
@@ -258,15 +252,7 @@ func New(cfg Config) *Sched {
 	if s.now == nil {
 		s.now = time.Now
 	}
-	admitMin := float64(cfg.AdmitMin)
-	if cfg.AdmitMin <= 0 {
-		admitMin = float64(cfg.Workers + 1)
-	}
-	admitMax := float64(cfg.AdmitMax)
-	if cfg.AdmitMax <= 0 {
-		admitMax = float64(cfg.QueueCap + cfg.Workers)
-	}
-	s.limiter = newLimiter(cfg.AdmitTarget, admitMin, admitMax, s.now())
+	s.limiter = newLimiter(cfg.AdmitTarget, cfg.Workers, cfg.QueueCap, s.now())
 	s.cost = newCostModel()
 	s.cond = sync.NewCond(&s.mu)
 	s.stats.Workers = cfg.Workers
@@ -309,8 +295,6 @@ func (s *Sched) collect(emit telemetry.Emit) {
 		float64(st.Deduped), "outcome", "deduped")
 	emit("parrot_sched_outcomes_total", "counter", "Submit outcomes (Submitted = sum over outcomes).",
 		float64(st.Enqueued), "outcome", "enqueued")
-	emit("parrot_sched_outcomes_total", "counter", "Submit outcomes (Submitted = sum over outcomes).",
-		float64(st.Rejected), "outcome", "rejected")
 	emit("parrot_sched_outcomes_total", "counter", "Submit outcomes (Submitted = sum over outcomes).",
 		float64(st.DrainRejected), "outcome", "drain_rejected")
 	emit("parrot_sched_outcomes_total", "counter", "Submit outcomes (Submitted = sum over outcomes).",
@@ -375,7 +359,7 @@ func WithCacheProbed(ctx context.Context) context.Context {
 	return context.WithValue(ctx, cacheProbedKey{}, true)
 }
 
-// SubmitBatch is Submit on the batch (lower-priority, model-affine) queue.
+// SubmitBatch is Submit on the batch (lower-priority) queue.
 func (s *Sched) SubmitBatch(ctx context.Context, spec experiments.RunSpec) (*core.Result, Disposition, error) {
 	return s.submit(ctx, spec, Batch)
 }
@@ -441,20 +425,10 @@ func (s *Sched) submit(ctx context.Context, spec experiments.RunSpec, pri Priori
 				est.Round(time.Millisecond), spec.Model.ID)
 		}
 	}
-	q := &s.qb
-	if pri == Interactive {
-		q = &s.qi
-	}
-	// The hard QueueCap stays the first gate (legacy ErrQueueFull
-	// contract); adaptive admission only sheds while queue room remains.
-	if len(*q) >= s.cfg.QueueCap {
-		s.stats.Submitted++
-		s.stats.Rejected++
-		s.mu.Unlock()
-		return nil, DispComputed, ErrQueueFull
-	}
-	// Adaptive admission: load counts everything a new job would queue
-	// behind. Batch sheds first (limiter.go).
+	// Adaptive admission, the one load gate: load counts everything a new
+	// job would queue behind, and the limit never exceeds QueueCap +
+	// Workers, so every rejection carries a Retry-After hint. Batch sheds
+	// first (limiter.go).
 	load := s.stats.Running + len(s.qi) + len(s.qb)
 	if !s.limiter.admit(load, pri, now) {
 		s.stats.Submitted++
@@ -476,7 +450,11 @@ func (s *Sched) submit(ctx context.Context, spec experiments.RunSpec, pri Priori
 	if hasDeadline {
 		j.deadline = deadline
 	}
-	*q = append(*q, j)
+	if pri == Interactive {
+		s.qi = append(s.qi, j)
+	} else {
+		s.qb = append(s.qb, j)
+	}
 	s.stats.Submitted++
 	s.stats.Enqueued++
 	s.cond.Signal()
@@ -500,14 +478,11 @@ func (s *Sched) wait(ctx context.Context, tr *telemetry.Trace, fl *flight) (*cor
 	}
 }
 
-// next pops the next job: interactive first, then batch with model
-// affinity — if the worker's resident model matches a batch job within the
-// scan window, that job is taken out of order, so consecutive cells of the
-// same model land on the same pooled machine. Returns nil when the
+// next pops the next job: the interactive queue's head first, then the
+// batch queue's. Pop order changes no machine work: a worker keeps one
+// machine per model and Resets it before every run. Returns nil when the
 // scheduler is draining and both queues are empty.
-func (s *Sched) next(last config.Model, haveLast bool) *job {
-	const affinityScan = 64 // bounded out-of-order scan window
-
+func (s *Sched) next() *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -516,21 +491,8 @@ func (s *Sched) next(last config.Model, haveLast bool) *job {
 			j = s.qi[0]
 			s.qi = popFront(s.qi)
 		} else if len(s.qb) > 0 {
-			idx := 0
-			if haveLast {
-				n := len(s.qb)
-				if n > affinityScan {
-					n = affinityScan
-				}
-				for i := 0; i < n; i++ {
-					if s.qb[i].spec.Model == last {
-						idx = i
-						break
-					}
-				}
-			}
-			j = s.qb[idx]
-			s.qb = append(s.qb[:idx], s.qb[idx+1:]...)
+			j = s.qb[0]
+			s.qb = popFront(s.qb)
 		} else {
 			if s.draining {
 				return nil
@@ -564,10 +526,8 @@ func (s *Sched) worker() {
 			s.pool.Put(m)
 		}
 	}()
-	var last config.Model
-	haveLast := false
 	for {
-		j := s.next(last, haveLast)
+		j := s.next()
 		if j == nil {
 			return
 		}
@@ -600,12 +560,14 @@ func (s *Sched) worker() {
 		}
 		s.mu.Unlock()
 		if abandoned || evicted {
-			reason := "abandoned"
-			if evicted {
-				reason = "deadline evicted"
+			if s.log != nil {
+				reason := "job abandoned"
+				if evicted {
+					reason = "job deadline evicted"
+				}
+				s.log.Debug(reason, "digest", shortDigest(j.digest),
+					"model", string(j.spec.Model.ID), "app", j.spec.App.Name)
 			}
-			s.log.Debug("job "+reason, tlog.F("digest", shortDigest(j.digest)),
-				tlog.F("model", string(j.spec.Model.ID)), tlog.F("app", j.spec.App.Name))
 			continue
 		}
 
@@ -617,7 +579,6 @@ func (s *Sched) worker() {
 		} else {
 			m.Reset()
 		}
-		last, haveLast = j.spec.Model, true
 		gotM := s.now()
 		j.tr.AddSpan("machine.checkout", telemetry.TIDWorker, j.popAt, gotM,
 			telemetry.A("model", string(j.spec.Model.ID)),
@@ -687,7 +648,9 @@ func (s *Sched) Drain(ctx context.Context) error {
 	s.draining = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.log.Info("draining")
+	if s.log != nil {
+		s.log.Info("draining")
+	}
 
 	doneCh := make(chan struct{})
 	go func() {
@@ -696,7 +659,9 @@ func (s *Sched) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-doneCh:
-		s.log.Info("drained")
+		if s.log != nil {
+			s.log.Info("drained")
+		}
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -750,16 +715,6 @@ func (s *Sched) Stats() Stats {
 		st.OldestBatch = now.Sub(s.qb[0].enqueuedAt)
 	}
 	return st
-}
-
-// RetryAfterHint sizes a back-off hint from the current load and cost
-// model — the API layer attaches it to shed paths (e.g. ErrQueueFull)
-// that don't carry their own *ShedError hint.
-func (s *Sched) RetryAfterHint() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	load := s.stats.Running + len(s.qi) + len(s.qb)
-	return s.cost.retryAfter(load, s.cfg.Workers)
 }
 
 // SetAdmitLimit forces the admission limit — an operational override and

@@ -73,14 +73,7 @@ func TestSubmitComputesAndCaches(t *testing.T) {
 // run and every waiter must get the identical result.
 func TestSingleflightDedup(t *testing.T) {
 	s := New(Config{Workers: 1, Cache: newCache(t), Pool: core.NewPool()})
-	defer s.Drain(context.Background())
-
-	release := make(chan struct{})
-	entered := make(chan struct{}, 16)
-	s.testHookBeforeRun = func(experiments.RunSpec) {
-		entered <- struct{}{}
-		<-release
-	}
+	held, release := holdWorker(t, s, nil)
 
 	sp := spec(t, config.N, "gzip", 5000)
 	const waiters = 8
@@ -97,7 +90,7 @@ func TestSingleflightDedup(t *testing.T) {
 		results <- out{r, err}
 	}()
 	launched.Wait()
-	<-entered // the first submit's job is on the worker, held at the hook
+	<-held // the first submit's job is on the worker, held at the hook
 
 	for i := 1; i < waiters; i++ {
 		go func() {
@@ -118,7 +111,7 @@ func TestSingleflightDedup(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	close(release)
+	release()
 
 	var first *core.Result
 	for i := 0; i < waiters; i++ {
@@ -142,22 +135,13 @@ func TestSingleflightDedup(t *testing.T) {
 // a held worker and checks the interactive job runs first.
 func TestInteractiveBeatsBatch(t *testing.T) {
 	s := New(Config{Workers: 1, Cache: newCache(t), Pool: core.NewPool()})
-	defer s.Drain(context.Background())
-
 	var mu sync.Mutex
 	var order []string
-	release := make(chan struct{})
-	held := make(chan struct{})
-	var once sync.Once
-	s.testHookBeforeRun = func(sp experiments.RunSpec) {
+	held, release := holdWorker(t, s, func(sp experiments.RunSpec) {
 		mu.Lock()
 		order = append(order, string(sp.Model.ID)+"/"+sp.App.Name)
 		mu.Unlock()
-		once.Do(func() {
-			close(held)
-			<-release
-		})
-	}
+	})
 
 	var wg sync.WaitGroup
 	run := func(f func() error) {
@@ -187,7 +171,7 @@ func TestInteractiveBeatsBatch(t *testing.T) {
 		return err
 	})
 	waitFor(t, func() bool { return s.Stats().InteractiveDepth == 1 })
-	close(release)
+	release()
 	wg.Wait()
 
 	mu.Lock()
@@ -200,17 +184,12 @@ func TestInteractiveBeatsBatch(t *testing.T) {
 	}
 }
 
+// TestQueueFullRejects: with the queue at QueueCap behind a busy fleet,
+// admission (capped at QueueCap + Workers) sheds the next job, and the
+// shed carries a Retry-After hint.
 func TestQueueFullRejects(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 1, Cache: newCache(t), Pool: core.NewPool()})
-	defer s.Drain(context.Background())
-
-	release := make(chan struct{})
-	held := make(chan struct{})
-	var once sync.Once
-	s.testHookBeforeRun = func(experiments.RunSpec) {
-		once.Do(func() { close(held) })
-		<-release
-	}
+	held, release := holdWorker(t, s, nil)
 
 	errs := make(chan error, 2)
 	go func() {
@@ -226,13 +205,14 @@ func TestQueueFullRejects(t *testing.T) {
 
 	// Queue is at capacity: a third distinct spec must bounce immediately.
 	_, _, err := s.Submit(context.Background(), spec(t, config.N, "gcc", 5000))
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("err = %v, want ErrQueueFull", err)
+	var shed *ShedError
+	if !errors.As(err, &shed) || shed.RetryAfter < 100*time.Millisecond {
+		t.Fatalf("err = %v, want a *ShedError with a Retry-After of at least 100ms", err)
 	}
-	if st := s.Stats(); st.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", st.Rejected)
+	if st := s.Stats(); st.ShedInteractive != 1 {
+		t.Fatalf("shed = %d, want 1", st.ShedInteractive)
 	}
-	close(release)
+	release()
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
@@ -244,15 +224,7 @@ func TestQueueFullRejects(t *testing.T) {
 // is abandoned by the worker without simulating.
 func TestContextCancelAbandonsQueuedJob(t *testing.T) {
 	s := New(Config{Workers: 1, Cache: newCache(t), Pool: core.NewPool()})
-	defer s.Drain(context.Background())
-
-	release := make(chan struct{})
-	held := make(chan struct{})
-	var once sync.Once
-	s.testHookBeforeRun = func(experiments.RunSpec) {
-		once.Do(func() { close(held) })
-		<-release
-	}
+	held, release := holdWorker(t, s, nil)
 
 	go func() { s.Submit(context.Background(), spec(t, config.N, "gzip", 5000)) }()
 	<-held
@@ -268,7 +240,7 @@ func TestContextCancelAbandonsQueuedJob(t *testing.T) {
 	if err := <-errs; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	close(release)
+	release()
 	waitFor(t, func() bool { return s.Stats().Abandoned == 1 })
 	if st := s.Stats(); st.Completed != 1 {
 		t.Fatalf("completed = %d, want 1 (the abandoned job must not simulate)", st.Completed)
@@ -322,7 +294,7 @@ func TestDrainStillServesCache(t *testing.T) {
 // TestStatsNeverTorn hammers Submit from many goroutines while a scraper
 // continuously snapshots Stats, asserting the submit-outcome invariant
 //
-//	Submitted == CacheHits + Deduped + Enqueued + Rejected + DrainRejected
+//	Submitted == CacheHits + Deduped + Enqueued + DrainRejected
 //	             + ShedInteractive + ShedBatch + DeadlineRejected
 //
 // on every snapshot. Before the single-critical-section fix, Submitted was
@@ -348,12 +320,12 @@ func TestStatsNeverTorn(t *testing.T) {
 			}
 			st := s.Stats()
 			scrapes++
-			sum := st.CacheHits + st.Deduped + st.Enqueued + st.Rejected + st.DrainRejected +
+			sum := st.CacheHits + st.Deduped + st.Enqueued + st.DrainRejected +
 				st.ShedInteractive + st.ShedBatch + st.DeadlineRejected
 			if st.Submitted != sum {
 				torn++
-				t.Errorf("torn stats: submitted=%d != hits=%d + deduped=%d + enqueued=%d + rejected=%d + drainRejected=%d + shedI=%d + shedB=%d + deadline=%d",
-					st.Submitted, st.CacheHits, st.Deduped, st.Enqueued, st.Rejected, st.DrainRejected,
+				t.Errorf("torn stats: submitted=%d != hits=%d + deduped=%d + enqueued=%d + drainRejected=%d + shedI=%d + shedB=%d + deadline=%d",
+					st.Submitted, st.CacheHits, st.Deduped, st.Enqueued, st.DrainRejected,
 					st.ShedInteractive, st.ShedBatch, st.DeadlineRejected)
 				return
 			}
@@ -361,7 +333,7 @@ func TestStatsNeverTorn(t *testing.T) {
 	}()
 
 	// Mixed traffic: few distinct specs (maximizes cache hits and dedup
-	// joins), a tiny queue (forces rejections), both priority classes.
+	// joins), a tiny queue (forces sheds), both priority classes.
 	specs := []experiments.RunSpec{
 		spec(t, config.N, "gzip", 2000),
 		spec(t, config.N, "swim", 2000),
@@ -376,7 +348,7 @@ func TestStatsNeverTorn(t *testing.T) {
 			for i := 0; i < perSubmitter; i++ {
 				sp := specs[(g+i)%len(specs)]
 				if i%2 == 0 {
-					s.Submit(context.Background(), sp) //nolint:errcheck — ErrQueueFull is expected traffic here
+					s.Submit(context.Background(), sp) //nolint:errcheck — sheds are expected traffic here
 				} else {
 					s.SubmitBatch(context.Background(), sp)
 				}

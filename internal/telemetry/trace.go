@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -207,6 +208,20 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 func TraceFrom(ctx context.Context) *Trace {
 	t, _ := ctx.Value(traceKey{}).(*Trace)
 	return t
+}
+
+type loggerKey struct{}
+
+// WithLogger attaches a request-scoped logger to a context, so lines
+// logged deep inside a handler carry the request's bound fields.
+func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
+	return context.WithValue(ctx, loggerKey{}, l)
+}
+
+// LoggerFrom returns the context's logger, or nil (log nothing).
+func LoggerFrom(ctx context.Context) *slog.Logger {
+	l, _ := ctx.Value(loggerKey{}).(*slog.Logger)
+	return l
 }
 
 // NewRequestID mints a 16-hex-char request ID.
