@@ -7,61 +7,21 @@
 //	parrotsim -model TON -app swim -n 200000
 //	parrotsim -model TON -app swim -json
 //	parrotsim -model TON -tracefile swim.ptrace
-//	parrotsim -model TON -app swim -remote http://127.0.0.1:8044
 //	parrotsim -list
 //	parrotsim -model TON -app swim -cpuprofile cpu.out -memprofile mem.out
-//
-// With -remote the run is served by a parrotd instance (microseconds when
-// the cell is cached); if the server is unreachable the command warns and
-// falls back to an in-process simulation, which is bit-identical.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"parrot"
 	"parrot/internal/energy"
 	"parrot/internal/experiments"
 	"parrot/internal/profiling"
-	"parrot/internal/serve/client"
-	"parrot/internal/serve/proto"
 )
-
-// runRemote serves the cell from a parrotd instance, reporting how many
-// transport attempts the retrying client needed. A reachability error
-// returns (nil, 0, nil): the caller falls back to local simulation with a
-// warning. A reachable server that fails the request is a hard error — the
-// user asked for that server's answer.
-func runRemote(server, modelID, appName string, n int) (*parrot.Result, int, error) {
-	c := client.New(server)
-	ctx := context.Background()
-	if err := c.Ping(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "parrotsim: warning: %s unreachable (%v); falling back to local simulation\n", server, err)
-		return nil, 0, nil
-	}
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Minute)
-	defer cancel()
-	resp, err := c.Run(ctx, proto.RunRequest{Model: modelID, App: appName, Insts: n})
-	if err != nil {
-		return nil, 0, err
-	}
-	disp := "computed"
-	if resp.Cached {
-		disp = "cache hit"
-	}
-	by := server
-	if resp.Node != "" && resp.Node != server {
-		by = fmt.Sprintf("%s via %s", resp.Node, server)
-	}
-	fmt.Fprintf(os.Stderr, "parrotsim: served by %s (%s, %s, %d attempt(s))\n",
-		by, disp, time.Duration(resp.ElapsedUs*int64(time.Microsecond)).Round(time.Millisecond), resp.Attempts)
-	return resp.Result, resp.Attempts, nil
-}
 
 // runTraceFile replays a captured trace on the named model, with the
 // standard warmup fraction applied to the file's record count.
@@ -83,7 +43,6 @@ func main() {
 	app := flag.String("app", "swim", "benchmark application name")
 	n := flag.Int("n", 0, "dynamic instructions (0 = profile default)")
 	traceFile := flag.String("tracefile", "", "replay a captured trace file instead of synthesizing -app")
-	remote := flag.String("remote", "", "serve the run from a parrotd instance at this base URL (falls back to local when unreachable)")
 	list := flag.Bool("list", false, "list models and applications, then exit")
 	jsonOut := flag.Bool("json", false, "emit the run result as machine-readable JSON")
 	prof := profiling.Define()
@@ -113,19 +72,9 @@ func main() {
 
 	var r *parrot.Result
 	var err error
-	attempts := 0
-	switch {
-	case *traceFile != "":
-		if *remote != "" {
-			fmt.Fprintln(os.Stderr, "parrotsim: -remote does not apply to -tracefile (the server synthesizes by name); running locally")
-		}
+	if *traceFile != "" {
 		r, err = runTraceFile(*model, *traceFile)
-	case *remote != "":
-		r, attempts, err = runRemote(*remote, *model, *app, *n)
-		if err == nil && r == nil { // unreachable: graceful local fallback
-			r, err = parrot.RunByName(*model, *app, *n)
-		}
-	default:
+	} else {
 		r, err = parrot.RunByName(*model, *app, *n)
 	}
 	if err != nil {
@@ -137,7 +86,6 @@ func main() {
 		// A single run has no matrix-wide P_MAX; the run's own average
 		// dynamic power anchors the leakage term.
 		s := experiments.Summarize(r, r.AvgDynPower())
-		s.Attempts = attempts
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(s); err != nil {

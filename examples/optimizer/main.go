@@ -24,7 +24,7 @@ func main() {
 	// Show the first reasonably-sized hot trace in full.
 	var demo *parrot.Trace
 	for _, tr := range traces {
-		if len(tr.Uops) >= 12 && len(tr.Uops) <= 24 && tr.Branches > 0 {
+		if len(tr.Uops) >= 12 && len(tr.Uops) <= 40 && tr.Branches > 0 {
 			demo = tr
 			break
 		}
@@ -54,17 +54,16 @@ func main() {
 		{"full (incl. fusion, SIMD, scheduling)", parrot.AllOptimizations()},
 	} {
 		o := parrot.NewOptimizer(cfg.c)
-		var before, after, critB, critA int
+		var sum parrot.OptimizeResult
 		for _, tr := range parrot.SampleTraces(app, 40_000, 400) {
 			r := o.Optimize(tr)
-			before += r.UopsBefore
-			after += r.UopsAfter
-			critB += r.CritBefore
-			critA += r.CritAfter
+			sum.UopsBefore += r.UopsBefore
+			sum.UopsAfter += r.UopsAfter
+			sum.CritBefore += r.CritBefore
+			sum.CritAfter += r.CritAfter
 		}
 		fmt.Printf("%-40s uops %5d -> %5d (%.1f%%)   critical path -%.1f%%\n",
-			cfg.name, before, after,
-			100*(1-float64(after)/float64(before)),
-			100*(1-float64(critA)/float64(critB)))
+			cfg.name, sum.UopsBefore, sum.UopsAfter,
+			100*sum.UopReduction(), 100*sum.CritReduction())
 	}
 }

@@ -112,9 +112,6 @@ func (c *Cluster) Stop() { c.members.Stop() }
 // Self returns this node's advertised URL.
 func (c *Cluster) Self() string { return c.members.Self() }
 
-// Members exposes the membership registry.
-func (c *Cluster) Members() *Registry { return c.members }
-
 // Owner resolves a digest's current ring owner and whether it is this
 // node. An empty ring (cannot happen — self is always a member) owns
 // everything locally.

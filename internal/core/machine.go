@@ -226,9 +226,6 @@ func New(model config.Model) *Machine {
 	return m
 }
 
-// Model returns the machine's configuration.
-func (m *Machine) Model() config.Model { return m.model }
-
 // dqLen returns the number of queued dispatch items.
 func (m *Machine) dqLen() int { return int(m.dqTail - m.dqHead) }
 

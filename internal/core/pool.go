@@ -198,10 +198,3 @@ func (p *Pool) Size() int {
 	}
 	return n
 }
-
-// Drain empties the pool, releasing all retained machines to the GC.
-func (p *Pool) Drain() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.free = make(map[config.Model][]*Machine)
-}

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -118,6 +119,25 @@ func TestCompareFlags(t *testing.T) {
 	for _, tc := range cases {
 		if got := CompareFlags(tc.a, tc.b); got != tc.want {
 			t.Errorf("CompareFlags(%d,%d) = %#x, want %#x", tc.a, tc.b, got, tc.want)
+		}
+	}
+}
+
+func TestTestFlags(t *testing.T) {
+	cases := []struct {
+		a, b int64
+		want int64
+	}{
+		{0b1100, 0b0011, isa.FlagZ}, // disjoint bits
+		{0b1100, 0b0110, 0},         // one common bit, positive
+		{0, -1, isa.FlagZ},
+		{-1, -1, isa.FlagS},            // sign bit survives the and
+		{-1, math.MaxInt64, 0},         // sign bit masked off
+		{math.MinInt64, -8, isa.FlagS}, // only the sign bit in common
+	}
+	for _, tc := range cases {
+		if got := TestFlags(tc.a, tc.b); got != tc.want {
+			t.Errorf("TestFlags(%d,%d) = %#x, want %#x", tc.a, tc.b, got, tc.want)
 		}
 	}
 }

@@ -5,7 +5,6 @@
 package experiments
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -367,5 +366,3 @@ func killer(name string) bool {
 	}
 	return false
 }
-
-func fmtPct(v float64) string { return fmt.Sprintf("%+.1f%%", (v-1)*100) }

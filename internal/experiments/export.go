@@ -34,11 +34,6 @@ type RunSummary struct {
 	UopReduction  float64 `json:"uopReduction"`
 	CritReduction float64 `json:"critReduction"`
 	OptReuse      float64 `json:"optReuse"`
-
-	// Attempts, when set by a remote caller (parrotsim -remote), reports
-	// how many transport attempts the retrying client needed to obtain the
-	// cell (1 = first try; 0 = local run, omitted).
-	Attempts int `json:"attempts,omitempty"`
 }
 
 // Summarize converts one run result into its machine-readable record,

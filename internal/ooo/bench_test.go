@@ -22,8 +22,7 @@ import (
 //     one non-pipelined unit; almost every cycle completes and issues
 //     nothing, so per-cycle cost must track events, not occupancy.
 //
-// Before/after numbers are recorded in BENCH_engine.json
-// (cmd/parrotbench -enginebench).
+// Before/after numbers are recorded in BENCH_engine.json.
 
 // benchRun drives prog to drain, reporting ns/cycle and cycles/op.
 func benchRun(b *testing.B, e *Engine, prog []isa.Uop, addrs []uint64) {

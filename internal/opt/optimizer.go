@@ -83,9 +83,6 @@ const LatencyCycles = 100
 // New builds an optimizer with the given pass configuration.
 func New(cfg Config) *Optimizer { return &Optimizer{cfg: cfg} }
 
-// Config returns the pass configuration.
-func (o *Optimizer) Config() Config { return o.cfg }
-
 // Reset clears the accumulated invocation statistics, returning the
 // optimizer to its just-constructed state (machine-pooling Reset protocol).
 func (o *Optimizer) Reset() {

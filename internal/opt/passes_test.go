@@ -150,18 +150,37 @@ func TestWindowedSimdRejectsHoistOverDstReader(t *testing.T) {
 }
 
 func TestAssertFoldingOnConstantCondition(t *testing.T) {
-	// movi r1,5; cmpi r1,#5; assert eq/T — the assert outcome is static
-	// and the whole chain dissolves.
-	uops := []isa.Uop{alui(isa.OpMovImm, 1, -1, 5)}
-	uops = append(uops, cmpbr(1, 5, isa.CondEQ, true)...)
-	uops = append(uops, alu(isa.OpAdd, 2, 3, 4)) // keeps the trace non-empty
-	orig := append([]isa.Uop(nil), uops...)
-	o := New(GeneralOnly())
-	got, res := o.OptimizeUops(uops)
-	if res.Stats.AssertsFolded != 1 {
-		t.Fatalf("constant assert not folded: %v (stats %+v)", got, res.Stats)
+	// A flags producer over known values makes the promoted assert's
+	// outcome static, so the whole chain dissolves. The test case holds
+	// for test's flags (5&5 is non-zero) but not for cmp's (5 == 5).
+	test := isa.NewUop(isa.OpTest)
+	test.Dst[0] = isa.RegFlags
+	test.Src[0], test.Src[1] = isa.GPR(1), isa.GPR(2)
+	br := isa.NewUop(isa.OpBr)
+	br.Src[0] = isa.RegFlags
+	br.Cond, br.Taken = isa.CondNE, true
+	cases := []struct {
+		name  string
+		chain []isa.Uop
+	}{
+		// movi r1,5; cmpi r1,#5; assert eq/T
+		{"cmpi", append([]isa.Uop{alui(isa.OpMovImm, 1, -1, 5)}, cmpbr(1, 5, isa.CondEQ, true)...)},
+		// movi r1,5; movi r2,5; test r1,r2; assert ne/T
+		{"test", []isa.Uop{alui(isa.OpMovImm, 1, -1, 5), alui(isa.OpMovImm, 2, -1, 5), test, br}},
 	}
-	equivalent(t, orig, got, 108)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			uops := append(append([]isa.Uop(nil), tc.chain...),
+				alu(isa.OpAdd, 2, 3, 4)) // keeps the trace non-empty
+			orig := append([]isa.Uop(nil), uops...)
+			o := New(GeneralOnly())
+			got, res := o.OptimizeUops(uops)
+			if res.Stats.AssertsFolded != 1 {
+				t.Fatalf("constant assert not folded: %v (stats %+v)", got, res.Stats)
+			}
+			equivalent(t, orig, got, 108)
+		})
+	}
 }
 
 func TestSequencingSurvivesAtExit(t *testing.T) {

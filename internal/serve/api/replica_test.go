@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"parrot/internal/cluster"
 	"parrot/internal/core"
@@ -19,6 +18,7 @@ import (
 	"parrot/internal/serve/proto"
 	"parrot/internal/serve/sched"
 	"parrot/internal/telemetry"
+	"parrot/internal/testutil"
 )
 
 // metric reads one series off a node's /metricsz.
@@ -36,22 +36,24 @@ func metric(t *testing.T, c *client.Client, series string) float64 {
 // (the middleware records http.request after the response is written).
 func requestSpans(t *testing.T, c *client.Client, id string) []telemetry.Span {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	var spans []telemetry.Span
+	landed := testutil.Await(func() bool {
 		doc, err := c.TraceSpans(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sp := range doc.Spans {
+		spans = doc.Spans
+		for _, sp := range spans {
 			if sp.Name == "http.request" {
-				return doc.Spans
+				return true
 			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("request %s never recorded its http.request span", id)
-		}
-		time.Sleep(time.Millisecond)
+		return false
+	})
+	if !landed {
+		t.Fatalf("request %s never recorded its http.request span", id)
 	}
+	return spans
 }
 
 // assertSpanNames fails unless the spans carry exactly the given names,

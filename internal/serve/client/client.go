@@ -1,6 +1,6 @@
 // Package client is the Go client of the parrotd serving API. Every remote
-// consumer — parrotctl, parrotload, parrotsim -remote, parrotbench -remote
-// — goes through this library, so request construction, SSE parsing and
+// consumer — parrotctl, parrotload and the cluster's routing client — goes
+// through this library, so request construction, SSE parsing and
 // integrity verification live in one place.
 //
 // Responses carrying results are verified end-to-end: the decoded
@@ -379,8 +379,7 @@ func (c *Client) Result(ctx context.Context, digest string) (*proto.RunResponse,
 	return &out, nil
 }
 
-// Health fetches /healthz — also the cheap reachability probe the -remote
-// fallbacks use.
+// Health fetches /healthz — also the cheap reachability probe behind Ping.
 func (c *Client) Health(ctx context.Context) (*proto.Health, error) {
 	var out proto.Health
 	if err := c.getJSON(ctx, "/healthz", &out); err != nil {

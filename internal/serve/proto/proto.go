@@ -1,9 +1,8 @@
 // Package proto defines the wire types of the parrotd serving API — the
 // JSON request/response bodies of /v1/run, /v1/matrix (and its SSE progress
 // events), /v1/results/{digest}, /healthz and /metricsz. The daemon, the
-// client library and every CLI (parrotctl, parrotload, parrotsim -remote,
-// parrotbench -remote) share these structs, so the wire format has exactly
-// one definition.
+// client library and every CLI (parrotctl, parrotload) share these
+// structs, so the wire format has exactly one definition.
 package proto
 
 import (

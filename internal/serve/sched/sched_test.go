@@ -11,6 +11,7 @@ import (
 	"parrot/internal/core"
 	"parrot/internal/experiments"
 	"parrot/internal/serve/cache"
+	"parrot/internal/testutil"
 	"parrot/internal/workload"
 )
 
@@ -99,17 +100,9 @@ func TestSingleflightDedup(t *testing.T) {
 		}()
 	}
 	// All late submits must join the in-flight digest, not enqueue.
-	deadline := time.After(5 * time.Second)
-	for {
-		st := s.Stats()
-		if st.Deduped == waiters-1 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("deduped = %d, want %d", st.Deduped, waiters-1)
-		case <-time.After(time.Millisecond):
-		}
+	var st Stats
+	if !testutil.Await(func() bool { st = s.Stats(); return st.Deduped == waiters-1 }) {
+		t.Fatalf("deduped = %d, want %d", st.Deduped, waiters-1)
 	}
 	release()
 
@@ -125,7 +118,7 @@ func TestSingleflightDedup(t *testing.T) {
 			t.Fatal("waiters observed different result pointers")
 		}
 	}
-	st := s.Stats()
+	st = s.Stats()
 	if st.Completed != 1 {
 		t.Fatalf("completed = %d, want exactly 1 simulation for %d submits", st.Completed, waiters)
 	}
@@ -388,11 +381,7 @@ func TestDispositionLabels(t *testing.T) {
 
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in 5s")
-		}
-		time.Sleep(time.Millisecond)
+	if !testutil.Await(cond) {
+		t.Fatal("condition not reached in 5s")
 	}
 }

@@ -52,15 +52,6 @@ func (b *Block) PC() uint64 {
 	return b.Insts[0].PC
 }
 
-// NumUops returns the decoded uop count of the block.
-func (b *Block) NumUops() int {
-	n := 0
-	for i := range b.Insts {
-		n += len(b.Insts[i].Uops)
-	}
-	return n
-}
-
 // Proc is a callable procedure: a linear chain of blocks ending in TermRet.
 type Proc struct {
 	ID     int

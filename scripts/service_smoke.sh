@@ -116,6 +116,17 @@ grep -q 'cache.get.*outcome=mem' "$workdir/trace-warm.txt" \
 grep -q 'sched.submit.*disposition=hit' "$workdir/trace-warm.txt" \
   || { echo "warm trace missing disposition=hit attr" >&2; cat "$workdir/trace-warm.txt"; exit 1; }
 
+echo "== result fetch by spec digest (same result digest as the run)"
+# emitJSON indents top-level keys by two spaces; nested keys sit deeper.
+top_field() { sed -n "s/^  \"$1\": \"\([^\"]*\)\".*/\1/p" "$2"; }
+spec="$(top_field digest "$workdir/run.json")"
+want="$(top_field resultDigest "$workdir/run.json")"
+[[ -n "$spec" && -n "$want" ]] || { echo "run response carries no digest or resultDigest" >&2; exit 1; }
+"$workdir/parrotctl" get -digest "$spec" >"$workdir/get.json"
+got="$(top_field resultDigest "$workdir/get.json")"
+[[ "$got" == "$want" ]] \
+  || { echo "get -digest $spec: resultDigest $got, want $want" >&2; exit 1; }
+
 echo "== request trace fetch (cold cell: enqueue→checkout→run→writeback)"
 "$workdir/parrotctl" run -model "$model1" -app "$app1" -n $((N + 1000)) -json >"$workdir/run2.json"
 rid2="$(sed -n 's/.*"requestId": "\([^"]*\)".*/\1/p' "$workdir/run2.json")"
